@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,8 +84,6 @@ def scenario_from_json(text: str) -> Scenario:
         objects.append(Object(int(entry["id"]), int(entry["edges"])))
 
     grid = tuple(int(g) for g in doc.get("grid", (0, 0, 0)))
-    if len(grid) != 3:
-        raise InvalidScenarioError("grid must hold three integers")
 
     coeffs = doc.get("machine", {})
     unknown = set(coeffs) - set(_MACHINE_KEYS)
@@ -92,7 +91,7 @@ def scenario_from_json(text: str) -> Scenario:
         raise InvalidScenarioError(f"unknown machine keys: {sorted(unknown)}")
     machine = MachineModel(
         **{k: float(v) for k, v in coeffs.items()},
-        grid_points=grid[0] * grid[1] * grid[2],
+        grid_points=math.prod(grid),
     )
 
     return Scenario(

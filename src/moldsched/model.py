@@ -7,6 +7,7 @@ rounded floats, so that the schedulers' equality tests are reliable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
@@ -244,19 +245,18 @@ class MachineModel:
 
     def __post_init__(self):
         for name in ("t_work", "t_near", "t_fft", "gamma_grid", "alpha_msg", "beta_edge"):
-            if getattr(self, name) < 0:
-                raise InvalidScenarioError(f"machine coefficient {name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidScenarioError(f"machine coefficient {name} must be finite and >= 0")
         if self.grid_points < 0:
             raise InvalidScenarioError("grid_points must be >= 0")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named problem instance: objects, sweep P values, solver iterations."""
+    """A named problem instance: objects, solver iterations, machine, grid shape."""
 
     name: str
     objects: Tuple[Object, ...]
-    procs_list: Tuple[int, ...] = ()
     iterations: int = 1
     machine: MachineModel = field(default_factory=MachineModel)
     cutoff: int = 20
@@ -266,12 +266,14 @@ class Scenario:
         ids = [o.id for o in self.objects]
         if len(set(ids)) != len(ids):
             raise InvalidScenarioError("object ids must be unique")
-        if any(p < 1 for p in self.procs_list):
-            raise InvalidScenarioError("procs_list entries must be >= 1")
         if self.iterations < 1:
             raise InvalidScenarioError("iterations must be >= 1")
         if self.cutoff < 1:
             raise InvalidScenarioError("cutoff must be >= 1")
+        if len(self.grid) != 3 or min(self.grid) < 0:
+            raise InvalidScenarioError(f"grid must be three factors >= 0, got {self.grid}")
+        if self.machine.grid_points != math.prod(self.grid):
+            raise InvalidScenarioError(f"machine grid_points != product of grid {self.grid}")
 
     def tasks(self) -> Tuple[TaskSpec, ...]:
         return tasks_from_objects(self.objects)

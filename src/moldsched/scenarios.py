@@ -50,7 +50,6 @@ def gen_bus(pairs: int) -> Scenario:
     return Scenario(
         name=f"bus-{pairs}pairs",
         objects=objects,
-        procs_list=(4 * pairs,),
         iterations=BUS_ITERATIONS[nearest],
         machine=_machine_for_grid(grid),
         cutoff=20,
@@ -87,7 +86,6 @@ def gen_srr(class_counts: Optional[Sequence[int]] = None) -> Scenario:
     return Scenario(
         name=f"srr-{counts[0]}-{counts[1]}-{counts[2]}",
         objects=tuple(objects),
-        procs_list=(20, 40, 80, 160, 320, 640, 1000),
         iterations=43,
         machine=_machine_for_grid(grid),
         cutoff=20,
@@ -125,7 +123,6 @@ def gen_interposer() -> Scenario:
     return Scenario(
         name="interposer",
         objects=objects,
-        procs_list=tuple(range(40, 641, 40)),
         iterations=76,
         machine=_machine_for_grid(grid),
         cutoff=20,
@@ -146,7 +143,6 @@ def gen_random(n_objects: int, edge_range: Tuple[int, int], seed: int) -> Scenar
     return Scenario(
         name=f"random-{n_objects}x{lo}-{hi}-s{seed}",
         objects=objects,
-        procs_list=(4,),
         iterations=1,
         machine=_machine_for_grid(grid),
         cutoff=20,

@@ -25,7 +25,6 @@ from .model import (
     Object,
     PartitionMap,
     Scenario,
-    Schedule,
     TaskSpec,
 )
 from .partition import (
@@ -58,12 +57,20 @@ class SimReport:
     """Per-strategy timing, idle and communication metrics for one run."""
 
     p: int
-    t_gen: float
     t_matvec_avg: float
-    t_iter_avg: float
     internal_makespan: float
     idle_fraction: float
     comm: Tuple[int, int, float]
+
+    @property
+    def t_gen(self) -> float:
+        """Generation evaluates each task's cost shape once: the internal makespan."""
+        return self.internal_makespan
+
+    @property
+    def t_iter_avg(self) -> float:
+        """The preconditioner is excluded from the metric: the matvec time."""
+        return self.t_matvec_avg
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,23 +121,20 @@ def external_phase_time(partition: PartitionMap, machine: MachineModel) -> float
 
 def _simultaneity_schedule(
     groups: Sequence[Sequence[int]],
+    tasks: Sequence[TaskSpec],
     durations: Sequence,
-    workloads: Sequence[int],
     procs: int,
 ):
     """Greedy list schedule where each task's whole group starts together.
 
     Repeatedly starts the task whose group is ready earliest (ties: larger
-    workload, then lower id) at that ready time.  Returns (makespan,
-    per-processor busy time); works for float or exact durations.
+    workload, then lower index) at that ready time.  Returns (makespan,
+    per-processor busy time); works for float or integer durations.
     """
-    zero = durations[0] * 0 if durations else 0
-    free = [zero] * procs
-    busy = [zero] * procs
-    heap = []
-    for i, g in enumerate(groups):
-        if len(g) > 0:
-            heapq.heappush(heap, (zero, -workloads[i], i))
+    free = [0] * procs
+    busy = [0] * procs
+    heap = [(0, -t.workload, i) for i, t in enumerate(tasks)]
+    heapq.heapify(heap)
     while heap:
         ready, negw, i = heapq.heappop(heap)
         cur = max(free[p] for p in groups[i])
@@ -141,14 +145,29 @@ def _simultaneity_schedule(
         for p in groups[i]:
             free[p] = end
             busy[p] += durations[i]
-    makespan = max(free) if procs else zero
-    return makespan, busy
+    return max(free, default=0), busy
 
 
 def _idle_fraction(makespan: float, busy: Sequence, procs: int) -> float:
     if procs == 0 or makespan <= 0:
         return 0.0
     return float(sum((makespan - b) / makespan for b in busy) / procs)
+
+
+def _owner_groups(
+    objects: Sequence[Object], partition: PartitionMap
+) -> Tuple[List[List[int]], List[TaskSpec]]:
+    """Owning processes (ascending) of each object with edges, and its task.
+
+    The task's P_i is the size of its owner group; both no-redistribution
+    passes schedule these groups.
+    """
+    obj_ids, proc_ids = np.nonzero(partition.owned.T)
+    bounds = np.searchsorted(obj_ids, np.arange(partition.n_objects + 1)).tolist()
+    owners = proc_ids.tolist()
+    live = [o for o in objects if o.edges > 0]
+    groups = [owners[bounds[o.id]:bounds[o.id + 1]] for o in live]
+    return groups, [TaskSpec(o.id, o.edges * o.edges, len(g)) for o, g in zip(live, groups)]
 
 
 def internal_makespan_no_redist(
@@ -162,52 +181,38 @@ def internal_makespan_no_redist(
     and are skipped.
     """
     procs = partition.n_procs
-    groups: List[List[int]] = []
-    durations: List[float] = []
-    workloads: List[int] = []
-    for obj in objects:
-        if obj.edges == 0:
-            continue
-        g = [int(p) for p in np.nonzero(partition.owned[:, obj.id] > 0)[0]]
-        groups.append(g)
-        workloads.append(obj.edges * obj.edges)
-        durations.append(
-            dense_task_time(TaskSpec(obj.id, obj.edges * obj.edges, len(g)), machine)
-        )
-    makespan, busy = _simultaneity_schedule(groups, durations, workloads, procs)
+    groups, tasks = _owner_groups(objects, partition)
+    durations = [dense_task_time(t, machine) for t in tasks]
+    makespan, busy = _simultaneity_schedule(groups, tasks, durations, procs)
     return float(makespan), _idle_fraction(float(makespan), busy, procs)
 
 
 def _no_redist_work_units(
     objects: Sequence[Object], partition: PartitionMap
 ) -> Fraction:
-    """Work-unit makespan of the owner-group schedule (for normalized lengths)."""
-    groups: List[List[int]] = []
-    durations: List[Fraction] = []
-    workloads: List[int] = []
-    for obj in objects:
-        if obj.edges == 0:
-            continue
-        g = [int(p) for p in np.nonzero(partition.owned[:, obj.id] > 0)[0]]
-        groups.append(g)
-        workloads.append(obj.edges * obj.edges)
-        durations.append(Fraction(obj.edges * obj.edges, len(g)))
-    makespan, _ = _simultaneity_schedule(groups, durations, workloads, partition.n_procs)
-    return makespan if groups else Fraction(0)
+    """Work-unit makespan of the owner-group schedule (for normalized lengths).
+
+    Durations W_i / P_i are scaled by the lcm L of the group sizes, so the
+    schedule runs on integers and its makespan is exact over L.
+    """
+    groups, tasks = _owner_groups(objects, partition)
+    scale = math.lcm(*(t.procs for t in tasks))
+    durations = [t.workload * (scale // t.procs) for t in tasks]
+    makespan, _ = _simultaneity_schedule(groups, tasks, durations, partition.n_procs)
+    return Fraction(makespan, scale)
 
 
 def _schedule_seconds(
-    schedule: Schedule, tasks: Sequence[TaskSpec], machine: MachineModel
+    result: ScheduleResult, tasks: Sequence[TaskSpec], machine: MachineModel
 ) -> Tuple[float, float]:
     """Makespan/idle of a built schedule with slots priced by dense_task_time."""
-    workload_of = {t.object_id: t.workload for t in tasks}
     seconds_of = {
-        tid: dense_task_time(TaskSpec(tid, workload_of[tid], len(group)), machine)
-        for tid, group in schedule.proc_assignment.items()
+        t.object_id: dense_task_time(TaskSpec(t.object_id, t.workload, k), machine)
+        for t, k in zip(tasks, result.procs_per_task)
     }
-    busy = [sum(seconds_of[tid] for tid in row) for row in schedule.rows]
+    busy = [sum(seconds_of[tid] for tid in row) for row in result.schedule.rows]
     makespan = max(busy) if busy else 0.0
-    return makespan, _idle_fraction(makespan, busy, schedule.n_procs)
+    return makespan, _idle_fraction(makespan, busy, len(busy))
 
 
 def run_strategy(scenario: Scenario, strategy: StrategyKind, procs: int) -> StrategyRun:
@@ -229,15 +234,12 @@ def run_strategy(scenario: Scenario, strategy: StrategyKind, procs: int) -> Stra
         schedule_result = part_schedule(tasks, procs, cutoff)
         assignment = assign_task_lists(schedule_result.schedule, partition)
         comm = redistribution_cost(assignment, schedule_result.schedule, partition, machine)
-        internal, idle = _schedule_seconds(schedule_result.schedule, tasks, machine)
+        internal, idle = _schedule_seconds(schedule_result, tasks, machine)
         c_max_wu = schedule_result.c_max
 
-    t_matvec = external + comm[2] + internal
     report = SimReport(
         p=procs,
-        t_gen=internal,
-        t_matvec_avg=t_matvec,
-        t_iter_avg=t_matvec,
+        t_matvec_avg=external + comm[2] + internal,
         internal_makespan=internal,
         idle_fraction=idle,
         comm=comm,
@@ -257,9 +259,6 @@ def simulate(scenario: Scenario, strategy: StrategyKind, procs: int) -> SimRepor
     """Per-iteration timing report for one (scenario, strategy, P) cell.
 
     The matvec time is the external phase plus redistribution plus the
-    internal-phase makespan; the per-iteration time equals it because the
-    preconditioner is excluded from the metric.  Matrix generation uses
-    the same per-task cost shape evaluated once per task, so it shares
-    the internal-phase makespan.
+    internal-phase makespan.
     """
     return run_strategy(scenario, strategy, procs).report

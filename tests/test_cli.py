@@ -103,6 +103,15 @@ class TestSchedule:
         code, _, _ = run_cli(capsys, "schedule", str(bad), "--procs", "4")
         assert code == 3
 
+    def test_non_finite_machine_coefficient_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        for value in ("NaN", "Infinity", "-Infinity"):
+            bad.write_text('{"name": "x", "objects": [{"id": 0, "edges": 10}], '
+                           f'"machine": {{"t_work": {value}}}}}\n')
+            for command in ("schedule", "simulate"):
+                code, out, _ = run_cli(capsys, command, str(bad), "--procs", "4")
+                assert code == 3 and out == "", (value, command)
+
     def test_deterministic_output(self, tmp_path, capsys):
         path = tmp_path / "ip.json"
         run_cli(capsys, "gen", "interposer", "-o", str(path))

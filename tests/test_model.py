@@ -62,8 +62,19 @@ def test_scenario_validation():
         ms.Scenario(name="dup", objects=(ms.Object(0, 1), ms.Object(0, 2)))
     with pytest.raises(ms.InvalidScenarioError):
         ms.Scenario(name="it", objects=(ms.Object(0, 1),), iterations=0)
+    # a grid must agree with its machine's grid_points, and no factor is negative
     with pytest.raises(ms.InvalidScenarioError):
-        ms.Scenario(name="pl", objects=(ms.Object(0, 1),), procs_list=(0,))
+        ms.Scenario(name="g", objects=(ms.Object(0, 1),), grid=(8, 8, 8))
+    with pytest.raises(ms.InvalidScenarioError):
+        ms.Scenario(
+            name="g", objects=(ms.Object(0, 1),), grid=(-2, -2, 1),
+            machine=ms.MachineModel(grid_points=4),
+        )
+    ok = ms.Scenario(
+        name="g", objects=(ms.Object(0, 1),), grid=(8, 8, 8),
+        machine=ms.MachineModel(grid_points=512),
+    )
+    assert ok.machine.grid_points == 512
 
 
 def test_validator_accepts_scheduler_output():

@@ -15,12 +15,11 @@ BUS_TABLE = {
 
 class TestBus:
     def test_published_rows(self):
-        for pairs, (procs, edges, iters) in BUS_TABLE.items():
+        for pairs, (_, edges, iters) in BUS_TABLE.items():
             scenario = ms.gen_bus(pairs)
             assert len(scenario.objects) == 2 * pairs
             assert scenario.total_edges() == edges
             assert scenario.iterations == iters
-            assert scenario.procs_list == (procs,)
             assert scenario.grid == (500, 4 * pairs, 8)
             assert scenario.machine.grid_points == 500 * 4 * pairs * 8
 

@@ -1,10 +1,42 @@
+import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import moldsched as ms
-from moldsched.sim import StrategyKind, run_strategy
+from moldsched.sim import StrategyKind, _no_redist_work_units, run_strategy
+
+
+def reference_no_redist_work_units(objects, partition):
+    """Owner-group simultaneity schedule in exact Fraction work units.
+
+    Kept as the reference for the integer-scaled pass in the simulator:
+    groups are built one object at a time, and durations W / |g| stay
+    Fractions throughout.
+    """
+    groups, durations, workloads = [], [], []
+    for obj in objects:
+        if obj.edges == 0:
+            continue
+        g = [int(p) for p in np.nonzero(partition.owned[:, obj.id] > 0)[0]]
+        groups.append(g)
+        workloads.append(obj.edges * obj.edges)
+        durations.append(Fraction(obj.edges * obj.edges, len(g)))
+    free = [Fraction(0)] * partition.n_procs
+    heap = []
+    for i in range(len(groups)):
+        heapq.heappush(heap, (Fraction(0), -workloads[i], i))
+    while heap:
+        ready, negw, i = heapq.heappop(heap)
+        cur = max(free[p] for p in groups[i])
+        if cur != ready:
+            heapq.heappush(heap, (cur, negw, i))
+            continue
+        for p in groups[i]:
+            free[p] = ready + durations[i]
+    return max(free, default=Fraction(0))
 
 
 class TestGridFactors:
@@ -102,6 +134,48 @@ class TestNoRedistribution:
         assert idle == 0.0
 
 
+class TestNoRedistWorkUnits:
+    def _assert_matches(self, objects, partition):
+        got = _no_redist_work_units(objects, partition)
+        assert isinstance(got, Fraction)
+        assert got == reference_no_redist_work_units(objects, partition)
+
+    def test_random_scenarios_match_reference(self):
+        for seed in range(20):
+            scenario = ms.gen_random(30, (1, 400), seed)
+            for procs in range(2, 63, 3):
+                part = ms.partition_external(scenario.objects, procs)
+                self._assert_matches(scenario.objects, part)
+
+    def test_zero_edge_objects_match_reference(self):
+        zero_edge = 0
+        for seed in range(10):
+            scenario = ms.gen_random(40, (0, 50), seed)
+            zero_edge += sum(o.edges == 0 for o in scenario.objects)
+            for procs in range(2, 63, 3):
+                part = ms.partition_external(scenario.objects, procs)
+                self._assert_matches(scenario.objects, part)
+        assert zero_edge > 0
+
+    def test_hand_built_partitions_match_reference(self):
+        objs = [ms.Object(0, 10), ms.Object(1, 10)]
+        singletons = ms.PartitionMap(owned=np.array([[10, 0], [0, 10]]))
+        chain = ms.PartitionMap(owned=np.array([[5, 0], [5, 5], [0, 5]]))
+        uneven = [ms.Object(0, 7), ms.Object(1, 0), ms.Object(2, 9)]
+        overlap = ms.PartitionMap(owned=np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
+        for objects, part in ((objs, singletons), (objs, chain), (uneven, overlap)):
+            self._assert_matches(objects, part)
+        assert _no_redist_work_units(objs, singletons) == 100
+        assert _no_redist_work_units(objs, chain) == 100
+        assert _no_redist_work_units(uneven, overlap) == Fraction(49, 3) + Fraction(81, 2)
+
+    def test_only_zero_edge_objects_is_zero(self):
+        objs = [ms.Object(0, 0), ms.Object(1, 0)]
+        part = ms.PartitionMap(owned=np.zeros((3, 2), dtype=np.int64))
+        assert _no_redist_work_units(objs, part) == 0
+        assert reference_no_redist_work_units(objs, part) == 0
+
+
 class TestSimulate:
     def test_single_object_single_process_strategies_agree(self):
         scenario = ms.gen_random(1, (40, 40), seed=1)
@@ -126,8 +200,9 @@ class TestSimulate:
         assert spread <= 1e-9
 
     def test_proposed_internal_never_loses(self, interposer, srr):
-        for scenario in (interposer, srr):
-            for procs in scenario.procs_list:
+        sweeps = ((interposer, range(40, 641, 40)), (srr, (20, 40, 80, 160, 320, 640, 1000)))
+        for scenario, procs_list in sweeps:
+            for procs in procs_list:
                 prop = ms.simulate(scenario, StrategyKind.PROPOSED, procs)
                 nored = ms.simulate(scenario, StrategyKind.NO_REDISTRIBUTION, procs)
                 assert prop.internal_makespan <= nored.internal_makespan, (
@@ -144,6 +219,7 @@ class TestSimulate:
         scenario = ms.Scenario(
             name="degenerate",
             objects=(ms.Object(0, 0), ms.Object(1, 10), ms.Object(2, 4)),
+            machine=ms.MachineModel(grid_points=512),
             grid=(8, 8, 8),
         )
         for kind in StrategyKind:
