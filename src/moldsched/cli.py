@@ -64,8 +64,15 @@ def scenario_to_json(scenario: Scenario) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer (not a bool, float or string), else InvalidScenarioError."""
+    if type(value) is not int:
+        raise InvalidScenarioError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def scenario_from_json(text: str) -> Scenario:
-    """Parse a scenario document, rejecting unknown keys."""
+    """Parse a scenario document, rejecting unknown keys and mistyped values."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise InvalidScenarioError("scenario file must hold a JSON object")
@@ -73,33 +80,43 @@ def scenario_from_json(text: str) -> Scenario:
     unknown = set(doc) - allowed
     if unknown:
         raise InvalidScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-    if "name" not in doc or "objects" not in doc:
-        raise InvalidScenarioError("scenario file needs 'name' and 'objects'")
+    if not isinstance(doc.get("name"), str) or not isinstance(doc.get("objects"), list):
+        raise InvalidScenarioError("scenario file needs a string 'name' and an 'objects' array")
 
     objects = []
     for entry in doc["objects"]:
-        extra = set(entry) - {"id", "edges"}
-        if extra:
-            raise InvalidScenarioError(f"unknown object keys: {sorted(extra)}")
-        objects.append(Object(int(entry["id"]), int(entry["edges"])))
+        if not isinstance(entry, dict) or set(entry) != {"id", "edges"}:
+            raise InvalidScenarioError(f"objects must be {{id, edges}} records, got {entry!r}")
+        edges = _json_int(entry["edges"], "object edges")
+        if edges < 0:
+            raise InvalidScenarioError(f"object edges must be >= 0, got {edges}")
+        objects.append(Object(_json_int(entry["id"], "object id"), edges))
 
-    grid = tuple(int(g) for g in doc.get("grid", (0, 0, 0)))
+    grid = doc.get("grid", [0, 0, 0])
+    if not isinstance(grid, list):
+        raise InvalidScenarioError(f"grid must be an array, got {grid!r}")
+    grid = tuple(_json_int(g, "grid factor") for g in grid)
 
     coeffs = doc.get("machine", {})
+    if not isinstance(coeffs, dict):
+        raise InvalidScenarioError(f"machine must be a JSON object, got {coeffs!r}")
     unknown = set(coeffs) - set(_MACHINE_KEYS)
     if unknown:
         raise InvalidScenarioError(f"unknown machine keys: {sorted(unknown)}")
+    for k, v in coeffs.items():
+        if type(v) not in (int, float):
+            raise InvalidScenarioError(f"machine coefficient {k} must be a JSON number, got {v!r}")
     machine = MachineModel(
         **{k: float(v) for k, v in coeffs.items()},
         grid_points=math.prod(grid),
     )
 
     return Scenario(
-        name=str(doc["name"]),
+        name=doc["name"],
         objects=tuple(objects),
-        iterations=int(doc.get("iterations", 1)),
+        iterations=_json_int(doc.get("iterations", 1), "iterations"),
         machine=machine,
-        cutoff=int(doc.get("cutoff", 20)),
+        cutoff=_json_int(doc.get("cutoff", 20), "cutoff"),
         grid=grid,
     )
 
@@ -128,6 +145,17 @@ def _parse_range(text: str) -> List[int]:
     except ValueError:
         pass
     raise InvalidTaskError(f"bad processor range {text!r}, expected START:STOP:STEP")
+
+
+def _procs_arg(text: str) -> int:
+    """argparse type for the --procs of schedule and simulate: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _parse_cutoff(text: str) -> Optional[int]:
@@ -173,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sched = sub.add_parser("schedule", help="build and report a schedule")
     sched.add_argument("scenario")
-    sched.add_argument("--procs", type=int, required=True)
+    sched.add_argument("--procs", type=_procs_arg, required=True)
     sched.add_argument("--strategy", choices=["proposed", "any-pi"], default="proposed")
     sched.add_argument("--cutoff", type=str, default="20",
                        help="approximate-square cutoff or 'unlimited'")
@@ -182,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simp = sub.add_parser("simulate", help="simulate one solver configuration")
     simp.add_argument("scenario")
-    simp.add_argument("--procs", type=int, required=True)
+    simp.add_argument("--procs", type=_procs_arg, required=True)
     simp.add_argument("--strategy", choices=[k.value for k in StrategyKind],
                       default="proposed")
 

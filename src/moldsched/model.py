@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -221,6 +222,14 @@ class PartitionMap:
         """Number of processes owning a piece of each object."""
         return (self.owned > 0).sum(axis=0)
 
+    @cached_property
+    def pieces(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """Per object: its (process, edges) pieces in ascending process id."""
+        obj_ids, proc_ids = np.nonzero(self.owned.T)
+        bounds = np.searchsorted(obj_ids, np.arange(self.n_objects + 1)).tolist()
+        pairs = list(zip(proc_ids.tolist(), self.owned[proc_ids, obj_ids].tolist()))
+        return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
+
 
 @dataclass(frozen=True)
 class MachineModel:
@@ -280,6 +289,3 @@ class Scenario:
 
     def total_edges(self) -> int:
         return sum(o.edges for o in self.objects)
-
-    def total_workload(self) -> int:
-        return sum(estimate_workload(o.edges) for o in self.objects)

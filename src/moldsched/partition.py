@@ -112,11 +112,11 @@ def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAs
             f"schedule has {schedule.n_procs} rows, partition has {procs} processes"
         )
 
-    membership = np.zeros((procs, partition.n_objects), dtype=np.float64)
+    overlap = np.zeros((procs, procs), dtype=np.int64)
     for r, row in enumerate(schedule.rows):
         for tid in set(row):
-            membership[r, tid] = 1.0
-    overlap = np.rint(partition.owned.astype(np.float64) @ membership.T).astype(np.int64)
+            for p, edges in partition.pieces[tid]:
+                overlap[p, r] += edges
 
     process_to_row = [-1] * procs
     achieved = [0] * procs
@@ -141,12 +141,11 @@ def destined_shares(
     contain the task), in ascending process id.
     """
     row_owner = assignment.row_to_process()
-    edges = partition.owned.sum(axis=0)
 
     shares: Dict[int, Dict[int, int]] = {}
     for tid, rows in schedule.proc_assignment.items():
         group = sorted(row_owner[r] for r in rows)
-        base, rem = divmod(int(edges[tid]), len(group))
+        base, rem = divmod(sum(e for _, e in partition.pieces[tid]), len(group))
         shares[tid] = {p: base + 1 if idx < rem else base for idx, p in enumerate(group)}
     return shares
 
@@ -165,20 +164,16 @@ def redistribution_cost(
     (edges_moved, messages, alpha_msg*messages + beta_edge*edges_moved);
     messages never exceeds P*(P-1).
     """
-    shares = destined_shares(schedule, assignment, partition)
-
-    want = np.zeros_like(partition.owned)
-    for tid, share_of in shares.items():
-        for p, v in share_of.items():
-            want[p, tid] = v
-    diff = partition.owned - want
-    edges_moved = int(np.where(diff < 0, -diff, 0).sum())
-
+    edges_moved = 0
     pairs = set()
-    for j in np.unique(np.nonzero(diff < 0)[1]):
-        col = diff[:, j]
-        deficits = [(int(p), int(-col[p])) for p in np.nonzero(col < 0)[0]]
-        surpluses = [(int(p), int(col[p])) for p in np.nonzero(col > 0)[0]]
+    for tid, share_of in destined_shares(schedule, assignment, partition).items():
+        diff = dict(partition.pieces[tid])
+        for p, v in share_of.items():
+            diff[p] = diff.get(p, 0) - v
+        held = sorted(diff.items())
+        deficits = [(p, -d) for p, d in held if d < 0]
+        surpluses = [(p, d) for p, d in held if d > 0]
+        edges_moved += sum(need for _, need in deficits)
         si = 0
         for p, need in deficits:
             while need > 0:

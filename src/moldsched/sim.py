@@ -17,8 +17,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .model import (
     InvalidTaskError,
     MachineModel,
@@ -27,12 +25,7 @@ from .model import (
     Scenario,
     TaskSpec,
 )
-from .partition import (
-    TaskListAssignment,
-    assign_task_lists,
-    partition_external,
-    redistribution_cost,
-)
+from .partition import assign_task_lists, partition_external, redistribution_cost
 from .sched import ScheduleResult, ideal_length, part_schedule
 
 
@@ -75,14 +68,11 @@ class SimReport:
 
 @dataclass(frozen=True, eq=False)
 class StrategyRun:
-    """SimReport plus the intermediate artifacts it was computed from."""
+    """SimReport plus the normalized length and the schedule it was computed from."""
 
-    strategy: StrategyKind
     report: SimReport
     c_max_norm: float
-    partition: PartitionMap
     schedule_result: Optional[ScheduleResult]
-    assignment: Optional[TaskListAssignment]
 
 
 def grid_factors(p: int) -> Tuple[int, int]:
@@ -162,11 +152,8 @@ def _owner_groups(
     The task's P_i is the size of its owner group; both no-redistribution
     passes schedule these groups.
     """
-    obj_ids, proc_ids = np.nonzero(partition.owned.T)
-    bounds = np.searchsorted(obj_ids, np.arange(partition.n_objects + 1)).tolist()
-    owners = proc_ids.tolist()
     live = [o for o in objects if o.edges > 0]
-    groups = [owners[bounds[o.id]:bounds[o.id + 1]] for o in live]
+    groups = [[p for p, _ in partition.pieces[o.id]] for o in live]
     return groups, [TaskSpec(o.id, o.edges * o.edges, len(g)) for o, g in zip(live, groups)]
 
 
@@ -216,7 +203,7 @@ def _schedule_seconds(
 
 
 def run_strategy(scenario: Scenario, strategy: StrategyKind, procs: int) -> StrategyRun:
-    """Simulate one solver configuration and keep the intermediate artifacts."""
+    """Simulate one solver configuration and keep the schedule it built."""
     tasks = scenario.tasks()
     machine = scenario.machine
     partition = partition_external(scenario.objects, procs)
@@ -227,7 +214,6 @@ def run_strategy(scenario: Scenario, strategy: StrategyKind, procs: int) -> Stra
         internal, idle = internal_makespan_no_redist(scenario.objects, partition, machine)
         comm = (0, 0, 0.0)
         schedule_result = None
-        assignment = None
         c_max_wu = _no_redist_work_units(scenario.objects, partition)
     else:
         cutoff = scenario.cutoff if strategy is StrategyKind.PROPOSED else None
@@ -245,14 +231,7 @@ def run_strategy(scenario: Scenario, strategy: StrategyKind, procs: int) -> Stra
         comm=comm,
     )
     c_max_norm = float(c_max_wu / ideal) if ideal > 0 else 0.0
-    return StrategyRun(
-        strategy=strategy,
-        report=report,
-        c_max_norm=c_max_norm,
-        partition=partition,
-        schedule_result=schedule_result,
-        assignment=assignment,
-    )
+    return StrategyRun(report=report, c_max_norm=c_max_norm, schedule_result=schedule_result)
 
 
 def simulate(scenario: Scenario, strategy: StrategyKind, procs: int) -> SimReport:

@@ -68,6 +68,54 @@ class TestScenarioRoundTrip:
             scenario_from_json(doc)
 
 
+BAD_SCENARIOS = {
+    "object without edges": '{"name": "x", "objects": [{"id": 0}]}',
+    "object not a record": '{"name": "x", "objects": [5]}',
+    "objects not an array": '{"name": "x", "objects": {"id": 0}}',
+    "float edges": '{"name": "x", "objects": [{"id": 0, "edges": 3.9}]}',
+    "bool edges": '{"name": "x", "objects": [{"id": 0, "edges": true}]}',
+    "string edges": '{"name": "x", "objects": [{"id": 0, "edges": "7"}]}',
+    "negative edges": '{"name": "x", "objects": [{"id": 0, "edges": -1}]}',
+    "float id": '{"name": "x", "objects": [{"id": 0.0, "edges": 7}]}',
+    "float grid factor": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "grid": [2.7, 2, 2]}',
+    "grid not an array": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "grid": 8}',
+    "string cutoff": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "cutoff": "20"}',
+    "float iterations": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "iterations": 1.5}',
+    "bool coefficient": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "machine": {"t_work": true}}',
+    "string coefficient": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "machine": {"t_work": "1"}}',
+    "machine not a map": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "machine": ["t_work"]}',
+    "name not a string": '{"name": 5, "objects": [{"id": 0, "edges": 7}]}',
+    "name missing": '{"objects": [{"id": 0, "edges": 7}]}',
+}
+
+
+@pytest.mark.parametrize("text", BAD_SCENARIOS.values(), ids=BAD_SCENARIOS.keys())
+def test_malformed_scenario_exits_3(text, tmp_path, capsys):
+    with pytest.raises(ms.InvalidScenarioError):
+        scenario_from_json(text)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text + "\n")
+    for command in ("schedule", "simulate"):
+        code, out, err = run_cli(capsys, command, str(bad), "--procs", "4")
+        assert (code, out) == (3, ""), command
+        assert "Traceback" not in err
+
+
+def test_integer_machine_coefficient_accepted():
+    doc = '{"name": "x", "objects": [{"id": 0, "edges": 7}], "machine": {"t_work": 2}}'
+    assert scenario_from_json(doc).machine.t_work == 2.0
+
+
+@pytest.mark.parametrize("procs", ["0", "-3", "four", "2.5"])
+@pytest.mark.parametrize("command", ["schedule", "simulate"])
+def test_bad_procs_is_usage_error(command, procs, tmp_path, capsys):
+    path = tmp_path / "bus.json"
+    run_cli(capsys, "gen", "bus", "--pairs", "1", "-o", str(path))
+    code, out, err = run_cli(capsys, command, str(path), "--procs", procs)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage:") and "--procs" in err
+
+
 class TestSchedule:
     @pytest.fixture()
     def bus5(self, tmp_path, capsys):

@@ -3,13 +3,96 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moldsched as ms
-from moldsched.partition import destined_shares
+from moldsched.partition import TaskListAssignment, destined_shares
 
 
 def objects_of(edges):
     return [ms.Object(i, e) for i, e in enumerate(edges)]
+
+
+def reference_assign_task_lists(schedule, partition):
+    """Greedy row match on a dense float membership matrix and its matmul.
+
+    Kept as the reference for the overlap built from per-object pieces.
+    """
+    procs = partition.n_procs
+    membership = np.zeros((procs, partition.n_objects), dtype=np.float64)
+    for r, row in enumerate(schedule.rows):
+        for tid in set(row):
+            membership[r, tid] = 1.0
+    overlap = np.rint(partition.owned.astype(np.float64) @ membership.T).astype(np.int64)
+
+    process_to_row = [-1] * procs
+    achieved = [0] * procs
+    available = np.ones(procs, dtype=bool)
+    for p in range(procs):
+        scores = np.where(available, overlap[p], -1)
+        r = int(np.argmax(scores))
+        process_to_row[p] = r
+        achieved[p] = int(overlap[p, r])
+        available[r] = False
+    return TaskListAssignment(process_to_row=tuple(process_to_row), overlap=tuple(achieved))
+
+
+def reference_redistribution_cost(assignment, schedule, partition, machine):
+    """Surplus/deficit match on dense (P, N) want and diff matrices.
+
+    Kept as the reference for the per-object pass over pieces.
+    """
+    row_owner = assignment.row_to_process()
+    edges = partition.owned.sum(axis=0)
+    want = np.zeros_like(partition.owned)
+    for tid, rows in schedule.proc_assignment.items():
+        group = sorted(row_owner[r] for r in rows)
+        base, rem = divmod(int(edges[tid]), len(group))
+        for idx, p in enumerate(group):
+            want[p, tid] = base + 1 if idx < rem else base
+    diff = partition.owned - want
+    edges_moved = int(np.where(diff < 0, -diff, 0).sum())
+
+    pairs = set()
+    for j in np.unique(np.nonzero(diff < 0)[1]):
+        col = diff[:, j]
+        deficits = [(int(p), int(-col[p])) for p in np.nonzero(col < 0)[0]]
+        surpluses = [(int(p), int(col[p])) for p in np.nonzero(col > 0)[0]]
+        si = 0
+        for p, need in deficits:
+            while need > 0:
+                q, have = surpluses[si]
+                take = min(need, have)
+                pairs.add((q, p))
+                need -= take
+                have -= take
+                if have == 0:
+                    si += 1
+                else:
+                    surpluses[si] = (q, have)
+
+    messages = len(pairs)
+    seconds = machine.alpha_msg * messages + machine.beta_edge * edges_moved
+    return edges_moved, messages, seconds
+
+
+def assert_pieces_match_owned(partition):
+    """Every nonzero entry of owned appears once, in ascending process order."""
+    assert len(partition.pieces) == partition.n_objects
+    for tid, pieces in enumerate(partition.pieces):
+        column = partition.owned[:, tid]
+        assert pieces == tuple((int(p), int(column[p])) for p in np.nonzero(column)[0])
+        assert all(type(p) is int and type(e) is int for p, e in pieces)
+
+
+def assert_matches_reference(schedule, partition, machine):
+    assert_pieces_match_owned(partition)
+    got = ms.assign_task_lists(schedule, partition)
+    assert got == reference_assign_task_lists(schedule, partition)
+    cost = ms.redistribution_cost(got, schedule, partition, machine)
+    assert cost == reference_redistribution_cost(got, schedule, partition, machine)
+    return cost
 
 
 class TestPartitionExternal:
@@ -189,3 +272,69 @@ class TestRedistribution:
             )
             assert messages <= procs * (procs - 1)
             assert moved >= 0
+
+
+HAND_BUILT = (
+    ([2, 1], [[100, 10], [10, 100]]),
+    ([2, 1], [[100, 90], [95, 5]]),
+    ([7], [[7]]),
+    ([100 * 100] * 2, [[100, 0], [0, 100]]),
+    ([2, 1], [[100, 50], [0, 0]]),
+)
+
+
+class TestPieces:
+    def test_hand_built(self):
+        part = ms.PartitionMap(owned=np.array([[100, 0, 50], [0, 0, 7], [3, 0, 0]]))
+        assert part.pieces == (((0, 100), (2, 3)), (), ((0, 50), (1, 7)))
+
+    def test_cached_once(self):
+        part = ms.partition_external(objects_of([5, 0, 9]), 2)
+        assert part.pieces is part.pieces
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("cutoff", [20, None])
+    def test_structures(self, cutoff, interposer, srr):
+        cases = ((srr, (20, 100, 1000)), (interposer, (40, 320, 640)),
+                 (ms.gen_bus(40), (20, 160, 640)))
+        for scenario, procs_list in cases:
+            for procs in procs_list:
+                result = ms.part_schedule(scenario.tasks(), procs, cutoff)
+                part = ms.partition_external(scenario.objects, procs)
+                assert_matches_reference(result.schedule, part, scenario.machine)
+
+    @pytest.mark.parametrize("cutoff", [20, None])
+    def test_random_with_zero_edge_objects(self, cutoff):
+        for seed in range(10):
+            scenario = ms.gen_random(40, (0, 50), seed)
+            for procs in (3, 17, 60):
+                result = ms.part_schedule(scenario.tasks(), procs, cutoff)
+                part = ms.partition_external(scenario.objects, procs)
+                assert_matches_reference(result.schedule, part, scenario.machine)
+
+    def test_hand_built_partitions(self):
+        machine = ms.MachineModel()
+        for workloads, owned in HAND_BUILT:
+            part = ms.PartitionMap(owned=np.array(owned))
+            assert_matches_reference(two_row_schedule(workloads), part, machine)
+        part = ms.partition_external(objects_of([10]), 3)
+        schedule = ms.lpt_schedule([ms.TaskSpec(0, 100, 3)], 3).schedule
+        assert_matches_reference(schedule, part, machine)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edges=st.lists(st.integers(0, 60), min_size=1, max_size=30).filter(any),
+    procs=st.integers(1, 40),
+    cutoff=st.sampled_from([20, None]),
+)
+def test_property_pieces_and_redistribution(edges, procs, cutoff):
+    objects = objects_of(edges)
+    part = ms.partition_external(objects, procs)
+    assert [sum(e for _, e in pieces) for pieces in part.pieces] == edges
+    assert part.owned.sum(axis=0).tolist() == edges
+
+    result = ms.part_schedule(ms.tasks_from_objects(objects), procs, cutoff)
+    _, messages, _ = assert_matches_reference(result.schedule, part, ms.MachineModel())
+    assert messages <= procs * (procs - 1)
