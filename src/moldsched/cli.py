@@ -357,12 +357,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # before ValueError: both decode errors are ValueErrors
+        print(f"moldsched: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (InvalidTaskError, ValueError) as exc:
         print(f"moldsched: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"moldsched: {exc}", file=sys.stderr)
-        return EXIT_IO
     except SchedulingError as exc:
         print(f"moldsched: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -272,9 +272,8 @@ class Scenario:
     grid: Tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        ids = [o.id for o in self.objects]
-        if len(set(ids)) != len(ids):
-            raise InvalidScenarioError("object ids must be unique")
+        if sorted(o.id for o in self.objects) != list(range(len(self.objects))):
+            raise InvalidScenarioError("object ids must be the indices 0..N-1")
         if self.iterations < 1:
             raise InvalidScenarioError("iterations must be >= 1")
         if self.cutoff < 1:

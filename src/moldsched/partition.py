@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -61,7 +60,6 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     if total <= 0:
         raise InvalidScenarioError("partitioning needs a positive total edge count")
 
-    target = Fraction(total, procs)
     owned = np.zeros((procs, len(objects)), dtype=np.int64)
 
     # (load, process id) min-heap; stale entries are refreshed on pop
@@ -78,7 +76,7 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     for obj in sorted(objects, key=lambda o: (-o.edges, o.id)):
         if obj.edges == 0:
             continue
-        if obj.edges <= target:
+        if obj.edges * procs <= total:  # edges <= target
             p = pop_least()
             owned[p, obj.id] += obj.edges
             loads[p] += obj.edges

@@ -120,21 +120,39 @@ def _simultaneity_schedule(
     Repeatedly starts the task whose group is ready earliest (ties: larger
     workload, then lower index) at that ready time.  Returns (makespan,
     per-processor busy time); works for float or integer durations.
+
+    Heap keys are lazy: a popped key below its group's ready time is pushed
+    back with the current one.  The single-owner tasks of one process share
+    its ready time, so they start in (-W, index) order; only the next of
+    them waits in the heap, and its successor is pushed when it starts.
     """
     free = [0] * procs
     busy = [0] * procs
-    heap = [(0, -t.workload, i) for i, t in enumerate(tasks)]
+    queues = [[] for _ in range(procs)]
+    heap = []
+    for i, (g, t) in enumerate(zip(groups, tasks)):
+        if len(g) == 1:
+            queues[g[0]].append((-t.workload, i))
+        else:
+            heap.append((0, -t.workload, i))
+    for q in queues:
+        q.sort(reverse=True)
+        if q:
+            heap.append((0, *q.pop()))
     heapq.heapify(heap)
     while heap:
         ready, negw, i = heapq.heappop(heap)
-        cur = max(free[p] for p in groups[i])
+        g = groups[i]
+        cur = free[g[0]] if len(g) == 1 else max(free[p] for p in g)
         if cur != ready:
             heapq.heappush(heap, (cur, negw, i))
             continue
         end = ready + durations[i]
-        for p in groups[i]:
+        for p in g:
             free[p] = end
             busy[p] += durations[i]
+        if len(g) == 1 and queues[g[0]]:
+            heapq.heappush(heap, (end, *queues[g[0]].pop()))
     return max(free, default=0), busy
 
 

@@ -101,6 +101,34 @@ def test_malformed_scenario_exits_3(text, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+UNPARSABLE_FILES = {
+    "truncated": b'{"name": "x", "objects": [{"id": 0, "edges": 5}',
+    "empty": b"",
+    "not utf-8": b'{"name": "\xff", "objects": []}',
+}
+
+
+@pytest.mark.parametrize("data", UNPARSABLE_FILES.values(), ids=UNPARSABLE_FILES.keys())
+@pytest.mark.parametrize("command", ["schedule", "simulate", "sweep"])
+def test_unparsable_scenario_file_is_io_error(command, data, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run_cli(capsys, command, str(bad), "--procs", "4")
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ids", [(1, 3), (0, 2), (1, 2)])
+def test_non_contiguous_object_ids_exit_3(ids, tmp_path, capsys):
+    objects = ", ".join(f'{{"id": {i}, "edges": 5}}' for i in ids)
+    bad = tmp_path / "ids.json"
+    bad.write_text(f'{{"name": "x", "objects": [{objects}]}}\n')
+    for command in ("schedule", "simulate", "sweep"):
+        code, out, err = run_cli(capsys, command, str(bad), "--procs", "4")
+        assert (code, out) == (3, ""), command
+        assert "0..N-1" in err
+
+
 def test_integer_machine_coefficient_accepted():
     doc = '{"name": "x", "objects": [{"id": 0, "edges": 7}], "machine": {"t_work": 2}}'
     assert scenario_from_json(doc).machine.t_work == 2.0

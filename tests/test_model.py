@@ -77,6 +77,15 @@ def test_scenario_validation():
     assert ok.machine.grid_points == 512
 
 
+def test_scenario_object_ids_are_indices():
+    for ids in ((1, 3), (0, 2), (1,)):
+        with pytest.raises(ms.InvalidScenarioError, match="0..N-1"):
+            ms.Scenario(name="ids", objects=tuple(ms.Object(i, 1) for i in ids))
+    # any order of 0..N-1 is accepted; partition columns are indexed by id
+    shuffled = ms.Scenario(name="ids", objects=(ms.Object(1, 4), ms.Object(0, 2)))
+    assert [t.object_id for t in shuffled.tasks()] == [1, 0]
+
+
 def test_validator_accepts_scheduler_output():
     tasks = [ms.TaskSpec(i, w) for i, w in enumerate([5, 4, 3, 3, 2])]
     result = ms.lpt_schedule(tasks, 2)

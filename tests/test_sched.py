@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moldsched as ms
 from moldsched.model import check_schedule
@@ -325,3 +327,45 @@ class TestFastPathEquivalence:
         check_schedule(result.schedule, tasks, 4)
         assert result.procs_per_task == (2, 1, 1)
         assert result.c_max == 2 * w
+
+
+# runs of equal values, zeros included, so LPT ties and equal-duration buckets occur
+WORKLOAD_RUNS = st.lists(
+    st.tuples(st.one_of(st.just(0), st.integers(0, 50), st.integers(0, 10**9)), st.integers(1, 30)),
+    min_size=1,
+    max_size=6,
+).map(lambda runs: [w for w, k in runs for _ in range(k)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    workloads=WORKLOAD_RUNS,
+    procs=st.integers(1, 64),
+    cutoff=st.one_of(st.none(), st.integers(1, 20)),
+)
+def test_property_part_schedule_is_valid(workloads, procs, cutoff):
+    tasks = make_tasks(workloads)
+    result = ms.part_schedule(tasks, procs, cutoff)
+    check_schedule(result.schedule, tasks, procs)
+    assert result.c_max == result.schedule.makespan()
+    groups = [len(result.schedule.proc_assignment[t.object_id]) for t in tasks]
+    assert tuple(groups) == result.procs_per_task
+
+
+@settings(max_examples=150, deadline=None)
+@given(workloads=WORKLOAD_RUNS, procs=st.integers(1, 64), data=st.data())
+def test_property_lpt_schedule_is_valid(workloads, procs, data):
+    # P_i > 1 only while the parallel tasks still fit on disjoint groups
+    budget, counts = procs, []
+    n = len(workloads)
+    for k in data.draw(st.lists(st.integers(1, procs), min_size=n, max_size=n)):
+        if 1 < k <= budget:
+            budget -= k
+        else:
+            k = 1
+        counts.append(k)
+    tasks = [ms.TaskSpec(i, w, k) for i, (w, k) in enumerate(zip(workloads, counts))]
+    result = ms.lpt_schedule(tasks, procs)
+    check_schedule(result.schedule, tasks, procs)
+    assert result.c_max == result.schedule.makespan()
+    assert all(len(result.schedule.proc_assignment[t.object_id]) == t.procs for t in tasks)

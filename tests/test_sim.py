@@ -4,9 +4,40 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moldsched as ms
-from moldsched.sim import StrategyKind, _no_redist_work_units, run_strategy
+from moldsched.sim import (
+    StrategyKind,
+    _no_redist_work_units,
+    _owner_groups,
+    _simultaneity_schedule,
+    run_strategy,
+)
+
+
+def reference_simultaneity_schedule(groups, tasks, durations, procs):
+    """Owner-group schedule with every task in one lazy heap.
+
+    Kept as the reference for the per-process queues of single-owner
+    tasks: each start re-pushes every stale task of its processes.
+    """
+    free = [0] * procs
+    busy = [0] * procs
+    heap = [(0, -t.workload, i) for i, t in enumerate(tasks)]
+    heapq.heapify(heap)
+    while heap:
+        ready, negw, i = heapq.heappop(heap)
+        cur = max(free[p] for p in groups[i])
+        if cur != ready:
+            heapq.heappush(heap, (cur, negw, i))
+            continue
+        end = ready + durations[i]
+        for p in groups[i]:
+            free[p] = end
+            busy[p] += durations[i]
+    return max(free, default=0), busy
 
 
 def reference_no_redist_work_units(objects, partition):
@@ -174,6 +205,81 @@ class TestNoRedistWorkUnits:
         part = ms.PartitionMap(owned=np.zeros((3, 2), dtype=np.int64))
         assert _no_redist_work_units(objs, part) == 0
         assert reference_no_redist_work_units(objs, part) == 0
+
+
+def assert_schedule_matches_reference(groups, tasks, durations, procs):
+    got = _simultaneity_schedule(groups, tasks, durations, procs)
+    assert got == reference_simultaneity_schedule(groups, tasks, durations, procs)
+
+
+def assert_owner_schedules_match(objects, partition, machine):
+    """Both no-redist passes: float seconds and lcm-scaled integer work units."""
+    groups, tasks = _owner_groups(objects, partition)
+    scale = math.lcm(*(t.procs for t in tasks))
+    seconds = [ms.dense_task_time(t, machine) for t in tasks]
+    units = [t.workload * (scale // t.procs) for t in tasks]
+    for durations in (seconds, units):
+        assert_schedule_matches_reference(groups, tasks, durations, partition.n_procs)
+
+
+class TestSimultaneitySchedule:
+    def test_structures_match_reference(self, interposer, srr):
+        cells = ((srr, (20, 1000)), (interposer, (40, 640)), (ms.gen_bus(40), (20, 640)))
+        for scenario, procs_list in cells:
+            for procs in procs_list:
+                part = ms.partition_external(scenario.objects, procs)
+                assert_owner_schedules_match(scenario.objects, part, scenario.machine)
+
+    def test_random_scenarios_match_reference(self):
+        for seed in range(20):
+            scenario = ms.gen_random(30, (1, 400), seed)
+            for procs in range(2, 63, 3):
+                part = ms.partition_external(scenario.objects, procs)
+                assert_owner_schedules_match(scenario.objects, part, scenario.machine)
+
+    def test_hand_built_partitions_match_reference(self):
+        machine = ms.MachineModel(t_work=1.0, gamma_grid=0.5)
+        objs = [ms.Object(0, 10), ms.Object(1, 10)]
+        chain = ms.PartitionMap(owned=np.array([[5, 0], [5, 5], [0, 5]]))
+        uneven = [ms.Object(0, 7), ms.Object(1, 0), ms.Object(2, 9)]
+        overlap = ms.PartitionMap(owned=np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
+        for objects, part in ((objs, chain), (uneven, overlap)):
+            assert_owner_schedules_match(objects, part, machine)
+
+    def test_zero_durations_match_reference(self, srr):
+        machine = ms.MachineModel(t_work=0.0, gamma_grid=0.0)
+        for procs in (20, 1000):
+            part = ms.partition_external(srr.objects, procs)
+            groups, tasks = _owner_groups(srr.objects, part)
+            seconds = [ms.dense_task_time(t, machine) for t in tasks]
+            assert set(seconds) == {0.0}
+            for durations in (seconds, [0] * len(tasks)):
+                assert_schedule_matches_reference(groups, tasks, durations, procs)
+
+
+@st.composite
+def owner_schedules(draw):
+    """Random mixed single-owner and multi-process groups, many equal workloads."""
+    procs = draw(st.integers(1, 12))
+    group = st.one_of(
+        st.integers(0, procs - 1).map(lambda p: [p]),
+        st.lists(st.integers(0, procs - 1), min_size=1, max_size=procs, unique=True).map(sorted),
+    )
+    n = draw(st.integers(0, 40))
+    row = st.tuples(group, st.integers(0, 30), st.integers(0, 20))
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    groups = [g for g, _, _ in rows]
+    tasks = [ms.TaskSpec(i, w, len(g)) for i, (g, w, _) in enumerate(rows)]
+    return groups, tasks, [d for _, _, d in rows], procs
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=owner_schedules())
+def test_property_simultaneity_schedule_matches_reference(case):
+    groups, tasks, durations, procs = case
+    assert_schedule_matches_reference(groups, tasks, durations, procs)
+    seconds = [d / 3 for d in durations]
+    assert_schedule_matches_reference(groups, tasks, seconds, procs)
 
 
 class TestSimulate:
