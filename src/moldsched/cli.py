@@ -132,19 +132,23 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 
 
 def _parse_range(text: str) -> List[int]:
-    """Parse 'start:stop:step' (stop inclusive) or a single integer."""
+    """Parse 'start:stop:step' (stop inclusive) or a single integer, all >= 1."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return [int(parts[0])]
-        if len(parts) == 3:
+            start = stop = step = int(parts[0])
+        elif len(parts) == 3:
             start, stop, step = (int(x) for x in parts)
-            if step < 1 or start < 1 or stop < start:
-                raise ValueError
-            return list(range(start, stop + 1, step))
+        else:
+            raise ValueError
+        if step < 1 or start < 1 or stop < start:
+            raise ValueError
+        return list(range(start, stop + 1, step))
     except ValueError:
         pass
-    raise InvalidTaskError(f"bad processor range {text!r}, expected START:STOP:STEP")
+    raise InvalidTaskError(
+        f"bad processor range {text!r}, expected START:STOP:STEP or one integer >= 1"
+    )
 
 
 def _procs_arg(text: str) -> int:

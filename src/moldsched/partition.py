@@ -98,11 +98,12 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
 def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAssignment:
     """Match schedule rows to processes by shared mesh edges.
 
-    Every process counts the edges its mesh partition shares with the
-    objects of each task list, ranks the lists by that count, and then,
-    visiting processes in ascending id, each takes the remaining list it
-    overlaps most (ties to the lowest row index).  The result is a
-    bijection; the greedy order is deterministic but not globally optimal.
+    ``overlap[p]`` maps each row whose task list shares edges with process
+    p's mesh partition to that edge count; rows sharing none are absent.
+    Visiting processes in ascending id, each takes the remaining row it
+    overlaps most (ties to the lowest row index), or the lowest remaining
+    row when it overlaps none.  The result is a bijection; the greedy
+    order is deterministic but not globally optimal.
     """
     procs = partition.n_procs
     if schedule.n_procs != procs:
@@ -110,21 +111,28 @@ def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAs
             f"schedule has {schedule.n_procs} rows, partition has {procs} processes"
         )
 
-    overlap = np.zeros((procs, procs), dtype=np.int64)
-    for r, row in enumerate(schedule.rows):
-        for tid in set(row):
-            for p, edges in partition.pieces[tid]:
-                overlap[p, r] += edges
+    overlap: List[Dict[int, int]] = [{} for _ in range(procs)]
+    for tid, rows in schedule.proc_assignment.items():
+        for p, edges in partition.pieces[tid]:
+            shared = overlap[p]
+            for r in rows:
+                shared[r] = shared.get(r, 0) + edges
 
-    process_to_row = [-1] * procs
-    achieved = [0] * procs
-    available = np.ones(procs, dtype=bool)
+    taken = [False] * procs
+    lowest_free = 0  # taken rows are never freed, so this only moves up
+    process_to_row = []
+    achieved = []
     for p in range(procs):
-        scores = np.where(available, overlap[p], -1)
-        r = int(np.argmax(scores))
-        process_to_row[p] = r
-        achieved[p] = int(overlap[p, r])
-        available[r] = False
+        best = max(((e, -r) for r, e in overlap[p].items() if not taken[r]), default=None)
+        if best is None:
+            while taken[lowest_free]:
+                lowest_free += 1
+            r, edges = lowest_free, 0
+        else:
+            edges, r = best[0], -best[1]
+        taken[r] = True
+        process_to_row.append(r)
+        achieved.append(edges)
 
     return TaskListAssignment(process_to_row=tuple(process_to_row), overlap=tuple(achieved))
 

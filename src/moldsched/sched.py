@@ -5,10 +5,12 @@ processor-count rationals, and all comparisons (including the makespan
 equality test the iterative scheduler's stopping rule needs) are done on
 Python integers and ``Fraction``s, never on rounded floats.  There is one
 scheduling path, in pure Python.  The iterative scheduler needs only the
-makespan of each rebuilt schedule: it skips the rebuild when Graham's
-list-scheduling bound already proves the makespan, computes it from
-buckets of equal finish times otherwise, and places the tasks once, for
-the best processor counts found.
+makespan of each rebuilt schedule.  It skips the rebuild when the
+makespan is the longest task's duration: when the idle processors are
+at least as many as the sequential tasks (each then runs alone from time
+zero), or when Graham's list-scheduling bound proves it.  Otherwise it
+computes the makespan from buckets of equal finish times.  It places
+the tasks once, for the best processor counts found.
 """
 
 from __future__ import annotations
@@ -372,11 +374,16 @@ def part_schedule(
                 return i
         return j
 
+    # processors no parallel task holds: procs - sum(P_i > 1)
+    budget = procs
+
     def makespan() -> Fraction:
         """c_max of the LPT pass for the current P_i."""
         j = longest()
-        # every task runs somewhere, so c_max >= W_j/P_j; the bound caps it
-        if k == n or reach[k] * pi[j] <= procs * workloads[j]:
+        # every task runs somewhere, so c_max >= W_j/P_j.  It is exactly
+        # W_j/P_j when the idle processors cover the sequential tasks (each
+        # then runs alone from time 0), or when Graham's bound caps it.
+        if n - k <= budget or reach[k] * pi[j] <= procs * workloads[j]:
             return Fraction(workloads[j], pi[j])
         r = bisect_right(ends, k)
         sequential = [(runs[r][0], ends[r] - k)] + runs[r + 1:]
@@ -385,7 +392,6 @@ def part_schedule(
     cur_cmax = makespan()
     best_cmax, best_pi = cur_cmax, list(pi)
 
-    budget = procs
     iterations = 0
     while budget > 0:
         iterations += 1

@@ -266,6 +266,13 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", str(path), "--procs", "nope")
         assert code == 1
 
+    @pytest.mark.parametrize("procs", ["0", "-3"])
+    def test_single_procs_below_one_is_usage_error(self, procs, tmp_path, capsys):
+        path = tmp_path / "bus.json"
+        run_cli(capsys, "gen", "bus", "--pairs", "2", "-o", str(path))
+        code, out, _ = run_cli(capsys, "sweep", str(path), "--procs", procs)
+        assert (code, out) == (1, "")
+
 
 def test_console_entry_point():
     proc = subprocess.run(

@@ -323,6 +323,39 @@ class TestAgainstDenseReference:
         assert_matches_reference(schedule, part, machine)
 
 
+@st.composite
+def hand_built_cases(draw):
+    """A dense owned matrix with zero rows, zero columns and equal entries,
+    and an LPT schedule of its objects with random P_i."""
+    procs = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 15))
+    entries = st.sampled_from([0, 0, 0, 1, 2, 7])
+    owned = np.array(draw(st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=procs, max_size=procs)))
+    for p in draw(st.sets(st.integers(0, procs - 1))):
+        owned[p, :] = 0
+    for tid in draw(st.sets(st.integers(0, n - 1))):
+        owned[:, tid] = 0
+    budget, tasks = procs, []
+    for tid in range(n):
+        k = draw(st.integers(1, procs))
+        if 1 < k <= budget:
+            budget -= k
+        else:
+            k = 1
+        tasks.append(ms.TaskSpec(tid, draw(st.sampled_from([0, 3, 3, 5])), k))
+    return ms.lpt_schedule(tasks, procs).schedule, ms.PartitionMap(owned=owned)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=hand_built_cases())
+def test_property_assign_matches_dense_reference(case):
+    # processes that own nothing, or nothing of a free row, take the lowest
+    # free row; equal overlaps go to the lowest row
+    schedule, part = case
+    assert ms.assign_task_lists(schedule, part) == reference_assign_task_lists(schedule, part)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     edges=st.lists(st.integers(0, 60), min_size=1, max_size=30).filter(any),

@@ -369,3 +369,16 @@ def test_property_lpt_schedule_is_valid(workloads, procs, data):
     check_schedule(result.schedule, tasks, procs)
     assert result.c_max == result.schedule.makespan()
     assert all(len(result.schedule.proc_assignment[t.object_id]) == t.procs for t in tasks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    workloads=WORKLOAD_RUNS,
+    spare=st.integers(-63, 63),
+    cutoff=st.one_of(st.none(), st.integers(1, 20)),
+)
+def test_property_part_schedule_matches_reference(workloads, spare, cutoff):
+    # P = n + spare, clamped to 1..64: the idle-processor cut can fire only
+    # while there are more processors than tasks, so draw P on both sides of n
+    procs = min(64, max(1, len(workloads) + spare))
+    assert_matches_reference(make_tasks(workloads), procs, cutoff)
