@@ -18,7 +18,7 @@ for procs in (10, 20, 40):
         assignment, result.schedule, partition, scenario.machine
     )
     print(f"P={procs}: partitions/object={sorted(set(int(c) for c in counts))} "
-          f"load range=[{int(loads.min())}, {int(loads.max())}] "
+          f"load range=[{min(loads)}, {max(loads)}] "
           f"P_i={sorted(set(result.procs_per_task))}")
     print(f"      overlap={sum(assignment.overlap)} edges kept local, "
           f"{moved} moved in {messages} messages ({seconds:.2e} s)")

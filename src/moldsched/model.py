@@ -11,9 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 
 class SchedulingError(Exception):
@@ -194,41 +192,84 @@ def check_schedule(
             )
 
 
-@dataclass(frozen=True, eq=False)
+Pieces = Tuple[Tuple[int, int], ...]
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class PartitionMap:
-    """External-problem mesh ownership: owned[p, i] edges of object i on process p."""
+    """External-problem mesh ownership, kept per object as sparse pieces.
 
-    owned: np.ndarray
+    ``pieces[i]`` lists the (process, edges) pieces of object i in
+    ascending process id, one per process holding part of it; a zero-edge
+    object has none.  ``PartitionMap(owned=M)`` builds the map from a dense
+    (process, object) matrix instead, and ``owned`` gives that matrix back.
+    Only these two dense forms import numpy.
+    """
 
-    def __post_init__(self):
-        if self.owned.ndim != 2:
-            raise InvalidScenarioError("owned must be a 2-D (process, object) matrix")
-        if (self.owned < 0).any():
-            raise InvalidScenarioError("owned entries must be >= 0")
+    n_procs: int
+    pieces: Tuple[Pieces, ...]
 
-    @property
-    def n_procs(self) -> int:
-        return self.owned.shape[0]
+    def __init__(self, owned=None, *, n_procs: int = 0, pieces: Tuple[Pieces, ...] = ()):
+        if owned is not None:
+            import numpy as np
+
+            owned = np.asarray(owned)
+            if owned.ndim != 2:
+                raise InvalidScenarioError("owned must be a 2-D (process, object) matrix")
+            if (owned < 0).any():
+                raise InvalidScenarioError("owned entries must be >= 0")
+            n_procs = owned.shape[0]
+            pieces = tuple(
+                tuple((p, e) for p, e in enumerate(column) if e) for column in owned.T.tolist()
+            )
+        object.__setattr__(self, "n_procs", n_procs)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_owner_tasks", None)
 
     @property
     def n_objects(self) -> int:
-        return self.owned.shape[1]
+        return len(self.pieces)
 
-    def loads(self) -> np.ndarray:
+    def loads(self) -> List[int]:
         """Edges owned per process."""
-        return self.owned.sum(axis=1)
+        loads = [0] * self.n_procs
+        for pieces in self.pieces:
+            for p, edges in pieces:
+                loads[p] += edges
+        return loads
 
-    def partition_counts(self) -> np.ndarray:
+    def partition_counts(self) -> List[int]:
         """Number of processes owning a piece of each object."""
-        return (self.owned > 0).sum(axis=0)
+        return [len(pieces) for pieces in self.pieces]
 
     @cached_property
-    def pieces(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """Per object: its (process, edges) pieces in ascending process id."""
-        obj_ids, proc_ids = np.nonzero(self.owned.T)
-        bounds = np.searchsorted(obj_ids, np.arange(self.n_objects + 1)).tolist()
-        pairs = list(zip(proc_ids.tolist(), self.owned[proc_ids, obj_ids].tolist()))
-        return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
+    def owned(self):
+        """Dense int64 (process, object) matrix: owned[p, i] edges of object i on p."""
+        import numpy as np
+
+        owned = np.zeros((self.n_procs, self.n_objects), dtype=np.int64)
+        for i, pieces in enumerate(self.pieces):
+            for p, edges in pieces:
+                owned[p, i] = edges
+        return owned
+
+    def owner_tasks(
+        self, objects: Sequence[Object]
+    ) -> Tuple[List[List[int]], List[TaskSpec]]:
+        """Owning processes of each object with edges, and its task on them.
+
+        ``objects`` are the partitioned objects; both lists follow their
+        order.  The task is the object's whole workload with P_i the number
+        of owners, as when it runs where its mesh already is.  The last
+        result is kept with its objects, so repeated reads for the same
+        objects build it once.
+        """
+        if self._owner_tasks is None or self._owner_tasks[0] is not objects:
+            live = [o for o in objects if o.edges > 0]
+            groups = [[p for p, _ in self.pieces[o.id]] for o in live]
+            tasks = [TaskSpec(o.id, o.edges * o.edges, len(g)) for o, g in zip(live, groups)]
+            object.__setattr__(self, "_owner_tasks", (objects, groups, tasks))
+        return self._owner_tasks[1], self._owner_tasks[2]
 
 
 @dataclass(frozen=True)
@@ -284,6 +325,11 @@ class Scenario:
             raise InvalidScenarioError(f"machine grid_points != product of grid {self.grid}")
 
     def tasks(self) -> Tuple[TaskSpec, ...]:
+        """One sequential task per object, built once per scenario."""
+        return self._tasks
+
+    @cached_property
+    def _tasks(self) -> Tuple[TaskSpec, ...]:
         return tasks_from_objects(self.objects)
 
     def total_edges(self) -> int:

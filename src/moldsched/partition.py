@@ -6,8 +6,8 @@ Task lists (schedule rows) are then matched to processes by edge overlap
 so that the per-iteration redistribution stage moves as little data as
 possible, and the residual traffic is accounted for explicitly.
 
-Object ids double as 0-based column indices of the partition matrix, so
-schedule task ids address partition columns directly.
+Object ids double as 0-based indices of the partition's per-object pieces,
+so schedule task ids address an object's pieces directly.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from .model import (
     InvalidScenarioError,
     MachineModel,
     Object,
     PartitionMap,
+    Pieces,
     Schedule,
     ShapeError,
 )
@@ -49,8 +48,9 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     the per-process target (total edges / P) goes whole to the currently
     least-loaded process; a larger one is cut into ceil(edges/target)
     near-equal contiguous chunks, placed on the least-loaded processes.
-    Column sums reproduce the object edge counts exactly and no process
-    ends up with more than twice the target.
+    Each object's pieces sum to its edge count exactly, and no process
+    ends up with more than twice the target, or more than one edge when
+    the target is below half an edge.
     """
     if procs < 1:
         raise InvalidScenarioError(f"procs must be >= 1, got {procs}")
@@ -60,7 +60,7 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     if total <= 0:
         raise InvalidScenarioError("partitioning needs a positive total edge count")
 
-    owned = np.zeros((procs, len(objects)), dtype=np.int64)
+    pieces: List[Pieces] = [()] * len(objects)
 
     # (load, process id) min-heap; stale entries are refreshed on pop
     loads = [0] * procs
@@ -78,7 +78,7 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
             continue
         if obj.edges * procs <= total:  # edges <= target
             p = pop_least()
-            owned[p, obj.id] += obj.edges
+            pieces[obj.id] = ((p, obj.edges),)
             loads[p] += obj.edges
             heapq.heappush(heap, (loads[p], p))
             continue
@@ -86,13 +86,14 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
         k = min(k, obj.edges, procs)
         base, rem = divmod(obj.edges, k)
         takers = [pop_least() for _ in range(k)]
-        for idx, p in enumerate(takers):
-            chunk = base + 1 if idx < rem else base
-            owned[p, obj.id] += chunk
+        chunks = [(p, base + 1 if idx < rem else base) for idx, p in enumerate(takers)]
+        for p, chunk in chunks:
             loads[p] += chunk
             heapq.heappush(heap, (loads[p], p))
+        # the takers are distinct: none is pushed back before all k are popped
+        pieces[obj.id] = tuple(sorted(chunks))
 
-    return PartitionMap(owned=owned)
+    return PartitionMap(n_procs=procs, pieces=tuple(pieces))
 
 
 def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAssignment:

@@ -104,7 +104,7 @@ def dense_task_time(task: TaskSpec, machine: MachineModel) -> float:
 def external_phase_time(partition: PartitionMap, machine: MachineModel) -> float:
     """Seconds for one external matvec: near-region work plus shared FFTs."""
     grid = max(machine.grid_points, 1)
-    heaviest = int(partition.loads().max())
+    heaviest = max(partition.loads())
     fft = machine.t_fft * grid * math.log2(grid) / partition.n_procs
     return machine.t_near * heaviest + fft
 
@@ -168,11 +168,9 @@ def _owner_groups(
     """Owning processes (ascending) of each object with edges, and its task.
 
     The task's P_i is the size of its owner group; both no-redistribution
-    passes schedule these groups.
+    passes schedule these groups, and the partition builds them once.
     """
-    live = [o for o in objects if o.edges > 0]
-    groups = [[p for p, _ in partition.pieces[o.id]] for o in live]
-    return groups, [TaskSpec(o.id, o.edges * o.edges, len(g)) for o, g in zip(live, groups)]
+    return partition.owner_tasks(objects)
 
 
 def internal_makespan_no_redist(

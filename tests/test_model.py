@@ -86,6 +86,12 @@ def test_scenario_object_ids_are_indices():
     assert [t.object_id for t in shuffled.tasks()] == [1, 0]
 
 
+def test_scenario_tasks_built_once():
+    scenario = ms.gen_random(5, (1, 9), seed=0)
+    assert scenario.tasks() is scenario.tasks()
+    assert scenario.tasks() == ms.tasks_from_objects(scenario.objects)
+
+
 def test_validator_accepts_scheduler_output():
     tasks = [ms.TaskSpec(i, w) for i, w in enumerate([5, 4, 3, 3, 2])]
     result = ms.lpt_schedule(tasks, 2)

@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 
@@ -12,6 +13,44 @@ from moldsched.partition import TaskListAssignment, destined_shares
 
 def objects_of(edges):
     return [ms.Object(i, e) for i, e in enumerate(edges)]
+
+
+def reference_partition_external(objects, procs):
+    """Greedy object-aware split filling a dense (P, N) owned matrix.
+
+    Kept as the reference for the partitioner that builds the pieces
+    directly.
+    """
+    total = sum(o.edges for o in objects)
+    owned = np.zeros((procs, len(objects)), dtype=np.int64)
+    loads = [0] * procs
+    heap = [(0, p) for p in range(procs)]
+
+    def pop_least():
+        while True:
+            load, p = heapq.heappop(heap)
+            if load == loads[p]:
+                return p
+            heapq.heappush(heap, (loads[p], p))
+
+    for obj in sorted(objects, key=lambda o: (-o.edges, o.id)):
+        if obj.edges == 0:
+            continue
+        if obj.edges * procs <= total:
+            p = pop_least()
+            owned[p, obj.id] += obj.edges
+            loads[p] += obj.edges
+            heapq.heappush(heap, (loads[p], p))
+            continue
+        k = min(-(-obj.edges * procs // total), obj.edges, procs)
+        base, rem = divmod(obj.edges, k)
+        takers = [pop_least() for _ in range(k)]
+        for idx, p in enumerate(takers):
+            chunk = base + 1 if idx < rem else base
+            owned[p, obj.id] += chunk
+            loads[p] += chunk
+            heapq.heappush(heap, (loads[p], p))
+    return ms.PartitionMap(owned=owned)
 
 
 def reference_assign_task_lists(schedule, partition):
@@ -371,3 +410,23 @@ def test_property_pieces_and_redistribution(edges, procs, cutoff):
     result = ms.part_schedule(ms.tasks_from_objects(objects), procs, cutoff)
     _, messages, _ = assert_matches_reference(result.schedule, part, ms.MachineModel())
     assert messages <= procs * (procs - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edges=st.lists(st.integers(0, 500), min_size=1, max_size=30).filter(any),
+    procs=st.integers(1, 64),
+)
+def test_property_partition_matches_dense_reference(edges, procs):
+    objects = objects_of(edges)
+    part = ms.partition_external(objects, procs)
+    ref = reference_partition_external(objects, procs)
+    assert part.n_procs == ref.n_procs == procs
+    assert part.pieces == ref.pieces
+    assert part.loads() == ref.owned.sum(axis=1).tolist()
+    assert part.partition_counts() == (ref.owned > 0).sum(axis=0).tolist()
+    assert part.owned.dtype == ref.owned.dtype
+    assert np.array_equal(part.owned, ref.owned)
+    # no process holds more than twice the target total / P, or more than the
+    # one edge any owner holds when the target is below half an edge
+    assert max(part.loads()) * procs <= max(2 * sum(edges), procs)

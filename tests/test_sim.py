@@ -207,6 +207,22 @@ class TestNoRedistWorkUnits:
         assert reference_no_redist_work_units(objs, part) == 0
 
 
+class TestOwnerGroups:
+    def test_built_once_per_partition(self, srr):
+        part = ms.partition_external(srr.objects, 100)
+        groups, tasks = _owner_groups(srr.objects, part)
+        assert _owner_groups(srr.objects, part) == (groups, tasks)
+        assert _owner_groups(srr.objects, part)[1] is tasks
+
+    def test_follow_the_order_of_the_objects(self):
+        objs = [ms.Object(0, 7), ms.Object(1, 0), ms.Object(2, 9)]
+        part = ms.PartitionMap(owned=np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
+        groups, tasks = _owner_groups(objs, part)
+        assert groups == [[0, 1, 2], [0, 2]]
+        assert tasks == [ms.TaskSpec(0, 49, 3), ms.TaskSpec(2, 81, 2)]
+        assert _owner_groups(objs[::-1], part) == (groups[::-1], tasks[::-1])
+
+
 def assert_schedule_matches_reference(groups, tasks, durations, procs):
     got = _simultaneity_schedule(groups, tasks, durations, procs)
     assert got == reference_simultaneity_schedule(groups, tasks, durations, procs)
