@@ -100,12 +100,64 @@ class Schedule:
     ``start_times[p][t]`` is the start instant of the t-th slot of row p,
     in work units.  ``proc_assignment`` maps task id to the set of
     processors executing it, and ``finish_times[p]`` is F_p.
+
+    ``Schedule(...)`` takes explicit times, so any schedule can be built,
+    broken ones included.  The schedulers build theirs with ``packed``:
+    each row runs back to back from its seed, and its clock is an integer
+    over one denominator (the lcm of the group sizes and of the seed
+    denominators).  The exact ``Fraction`` times are made when
+    ``start_times``, ``finish_times`` or ``makespan()`` is first read.
     """
 
     rows: Tuple[Tuple[int, ...], ...]
     start_times: Tuple[Tuple[Fraction, ...], ...]
     proc_assignment: Mapping[int, frozenset]
     finish_times: Tuple[Fraction, ...]
+
+    @classmethod
+    def packed(
+        cls,
+        rows: Tuple[Tuple[int, ...], ...],
+        proc_assignment: Mapping[int, frozenset],
+        tasks: Sequence[TaskSpec],
+        seeds: Optional[Sequence[Fraction]] = None,
+    ) -> "Schedule":
+        """Rows run back to back from ``seeds`` (default 0); a slot lasts W / |group|.
+
+        ``tasks`` gives the workloads.  It is kept until the times are
+        read; a tuple, such as ``Scenario.tasks()``, is kept without a copy.
+        """
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "rows", rows)
+        object.__setattr__(schedule, "proc_assignment", proc_assignment)
+        object.__setattr__(schedule, "_packing", (tuple(tasks), seeds))
+        return schedule
+
+    def __getattr__(self, name: str):
+        # reached only while a packed schedule's times are unread
+        packing = self.__dict__.get("_packing")
+        if packing is None or name not in ("start_times", "finish_times"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        tasks, seeds = packing
+        workload_of = {t.object_id: t.workload for t in tasks}
+        seeds = [Fraction(0)] * len(self.rows) if seeds is None else [Fraction(s) for s in seeds]
+        denom = math.lcm(
+            *(len(g) for g in self.proc_assignment.values()), *(s.denominator for s in seeds)
+        )
+        step = {tid: workload_of[tid] * (denom // len(g)) for tid, g in self.proc_assignment.items()}
+        start_times = []
+        finish_times = []
+        for row, seed in zip(self.rows, seeds):
+            clock = seed.numerator * (denom // seed.denominator)
+            starts = []
+            for tid in row:
+                starts.append(Fraction(clock, denom))
+                clock += step[tid]
+            start_times.append(tuple(starts))
+            finish_times.append(Fraction(clock, denom))
+        object.__setattr__(self, "start_times", tuple(start_times))
+        object.__setattr__(self, "finish_times", tuple(finish_times))
+        return self.__dict__[name]
 
     @property
     def n_procs(self) -> int:

@@ -99,12 +99,22 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
 def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAssignment:
     """Match schedule rows to processes by shared mesh edges.
 
-    ``overlap[p]`` maps each row whose task list shares edges with process
-    p's mesh partition to that edge count; rows sharing none are absent.
+    A row overlaps process p by the edges p owns of the row's tasks.
     Visiting processes in ascending id, each takes the remaining row it
     overlaps most (ties to the lowest row index), or the lowest remaining
     row when it overlaps none.  The result is a bijection; the greedy
     order is deterministic but not globally optimal.
+
+    Rows holding the same parallel tasks form a class, and every row of a
+    class overlaps p by the same edges of those tasks, so a parallel
+    task's edges are counted once per class, not once per row.  (The
+    classes of an LPT schedule are its disjoint parallel groups.)  Process
+    p compares the free rows holding its sequential tasks, counted with
+    their class, and the lowest free row of each class it overlaps,
+    counted with the class alone.  Any other row of that class overlaps p
+    no more, at a higher index; and if p's sequential tasks add to the
+    lowest row, that row is already among the first candidates, with
+    more edges.
     """
     procs = partition.n_procs
     if schedule.n_procs != procs:
@@ -112,25 +122,65 @@ def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAs
             f"schedule has {schedule.n_procs} rows, partition has {procs} processes"
         )
 
-    overlap: List[Dict[int, int]] = [{} for _ in range(procs)]
+    held: Dict[int, List[int]] = {}
     for tid, rows in schedule.proc_assignment.items():
-        for p, edges in partition.pieces[tid]:
-            shared = overlap[p]
+        if len(rows) > 1:
             for r in rows:
-                shared[r] = shared.get(r, 0) + edges
+                held.setdefault(r, []).append(tid)
+    class_of: Dict[Tuple[int, ...], int] = {}
+    row_class = [-1] * procs
+    class_rows: List[List[int]] = []
+    for r in sorted(held):
+        c = class_of.setdefault(tuple(held[r]), len(class_rows))
+        if c == len(class_rows):
+            class_rows.append([])
+        class_rows[c].append(r)
+        row_class[r] = c
+    classes_of: Dict[int, List[int]] = {}
+    for tids, c in class_of.items():
+        for tid in tids:
+            classes_of.setdefault(tid, []).append(c)
+
+    # per process: row -> edges of its sequential tasks, class -> edges of its parallel tasks
+    single: List[Dict[int, int]] = [{} for _ in range(procs)]
+    shared: List[Dict[int, int]] = [{} for _ in range(procs)]
+    for tid, rows in schedule.proc_assignment.items():
+        pieces = partition.pieces[tid]
+        if len(rows) == 1:
+            (r,) = rows
+            for p, edges in pieces:
+                own = single[p]
+                own[r] = own.get(r, 0) + edges
+        for c in classes_of.get(tid, ()):
+            for p, edges in pieces:
+                par = shared[p]
+                par[c] = par.get(c, 0) + edges
 
     taken = [False] * procs
-    lowest_free = 0  # taken rows are never freed, so this only moves up
+    # taken rows are never freed, so these only move up
+    lowest_free = 0
+    lowest_in_class = [0] * len(class_rows)
     process_to_row = []
     achieved = []
     for p in range(procs):
-        best = max(((e, -r) for r, e in overlap[p].items() if not taken[r]), default=None)
-        if best is None:
+        own, par = single[p], shared[p]
+        edges, r = 0, procs  # no candidate yet; every candidate shares edges
+        for row, e in own.items():
+            if not taken[row]:
+                e += par.get(row_class[row], 0)
+                if e > edges or (e == edges and row < r):
+                    edges, r = e, row
+        for c, e in par.items():
+            rows, j = class_rows[c], lowest_in_class[c]
+            while j < len(rows) and taken[rows[j]]:
+                j += 1
+            lowest_in_class[c] = j
+            if j < len(rows) and (e > edges or (e == edges and rows[j] < r)):
+                edges, r = e, rows[j]
+        if r == procs:
             while taken[lowest_free]:
                 lowest_free += 1
-            r, edges = lowest_free, 0
-        else:
-            edges, r = best[0], -best[1]
+            r = lowest_free
         taken[r] = True
         process_to_row.append(r)
         achieved.append(edges)

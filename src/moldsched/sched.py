@@ -1,16 +1,20 @@
 """Moldable-task schedulers: LPT, Part_Schedule, and its grid-friendly variant.
 
-The schedulers operate in exact arithmetic: durations are workload /
-processor-count rationals, and all comparisons (including the makespan
-equality test the iterative scheduler's stopping rule needs) are done on
-Python integers and ``Fraction``s, never on rounded floats.  There is one
-scheduling path, in pure Python.  The iterative scheduler needs only the
-makespan of each rebuilt schedule.  It skips the rebuild when the
-makespan is the longest task's duration: when the idle processors are
-at least as many as the sequential tasks (each then runs alone from time
-zero), or when Graham's list-scheduling bound proves it.  Otherwise it
-computes the makespan from buckets of equal finish times.  It places
-the tasks once, for the best processor counts found.
+The schedulers are exact: durations are workload / processor-count
+rationals, and every comparison (including the makespan equality test
+the iterative scheduler's stopping rule needs) is made on Python
+integers, never on rounded floats.  There is one scheduling path, in
+pure Python.  The iterative scheduler carries its makespans as integer
+(numerator, denominator) pairs and compares W/P values by
+cross-multiplying; a ``Fraction`` is made once, for the returned c_max.
+It needs only the makespan of each rebuilt schedule.  It skips the
+rebuild when the makespan is the longest task's duration: when the idle
+processors are at least as many as the sequential tasks (each then runs
+alone from time zero), or when Graham's list-scheduling bound proves it.
+Otherwise it computes the makespan from buckets of equal finish times.
+It places the tasks once, for the best processor counts found.  A built
+schedule keeps integer clocks until its start and finish times are
+read; only then are they made exact ``Fraction``s (see ``Schedule``).
 """
 
 from __future__ import annotations
@@ -148,15 +152,16 @@ def _lpt_makespan(
     parallel: Sequence[Tuple[int, int]],
     runs: Iterable[Tuple[int, int]],
     procs: int,
-) -> Fraction:
-    """Makespan of an LPT pass, without the placements.
+) -> Tuple[int, int]:
+    """Makespan of an LPT pass, without the placements, as (top, denom).
 
     ``parallel`` gives (W_i, P_i) of the parallel tasks, and ``runs`` the
     sequential tasks in LPT order as (W, m): m tasks of equal workload W.
     Processors with equal finish times are interchangeable, so the heap
     holds (F, count) buckets of them.  A run takes the least-F bucket
     whole, or splits it, exactly where m single placements would put its
-    tasks, in one heap step per bucket.
+    tasks, in one heap step per bucket.  The makespan is top / denom,
+    with denom the lcm of the P_i.
     """
     denom = lcm(*(k for _, k in parallel))
     buckets = [(w * (denom // k), k) for w, k in parallel]
@@ -177,61 +182,39 @@ def _lpt_makespan(
                 heapq.heapreplace(buckets, (f + s, c))
                 m -= c
             top = max(top, f + s)
-    return Fraction(top, denom)
+    return top, denom
 
 
-def _rows_from_assign(
+def _package(
+    tasks: Sequence[TaskSpec],
     ids: Sequence[int],
     pi: Sequence[int],
     procs: int,
     order: Sequence[int],
     assign: Sequence[int],
-) -> List[List[int]]:
-    """Rebuild per-processor rows: parallel tasks first, then sequential."""
-    rows: List[List[int]] = [[] for _ in range(procs)]
-    for i in order:
-        if pi[i] > 1:
-            for p in range(assign[i], assign[i] + pi[i]):
-                rows[p].append(ids[i])
-    for i in order:
-        if pi[i] == 1:
-            rows[assign[i]].append(ids[i])
-    return rows
-
-
-def _package(
-    ids: Sequence[int],
-    workloads: Sequence[int],
-    pi: Sequence[int],
-    procs: int,
-    rows: Sequence[Sequence[int]],
     seeds: Optional[Sequence[Fraction]],
 ) -> Schedule:
-    """Build an immutable Schedule (exact start/finish times) from row lists."""
-    workload_of = dict(zip(ids, workloads))
-    group_of = dict(zip(ids, pi))
-    assignment: dict = {}
-    for p, row in enumerate(rows):
-        for tid in row:
-            assignment.setdefault(tid, set()).add(p)
+    """The Schedule of an LPT pass: parallel tasks first in each row, then sequential.
 
-    start_times = []
-    finish_times = []
-    for p in range(procs):
-        clock = Fraction(0) if seeds is None else Fraction(seeds[p])
-        starts = []
-        for tid in rows[p]:
-            starts.append(clock)
-            clock += Fraction(workload_of[tid], group_of[tid])
-        start_times.append(tuple(starts))
-        finish_times.append(clock)
-
-    return Schedule(
-        rows=tuple(tuple(row) for row in rows),
-        start_times=tuple(start_times),
-        proc_assignment={tid: frozenset(ps) for tid, ps in assignment.items()},
-        finish_times=tuple(finish_times),
-    )
+    Rows run back to back from ``seeds``; their times are made on read.
+    """
+    rows: List[List[int]] = [[] for _ in range(procs)]
+    groups = {}
+    for i in order:
+        k = pi[i]
+        if k > 1:
+            tid = ids[i]
+            group = range(assign[i], assign[i] + k)
+            for p in group:
+                rows[p].append(tid)
+            groups[tid] = frozenset(group)
+    for i in order:
+        if pi[i] == 1:
+            tid = ids[i]
+            p = assign[i]
+            rows[p].append(tid)
+            groups[tid] = frozenset((p,))
+    return Schedule.packed(tuple(map(tuple, rows)), groups, tasks, seeds)
 
 
 def _check_inputs(tasks: Sequence[TaskSpec], procs: int) -> None:
@@ -293,15 +276,25 @@ def lpt_schedule(
         scaled_seeds = [int(s * denom) for s in seeds]
     assign, fin, order = _lpt_pass_exact(ids, workloads, pi, procs, scaled_seeds, denom)
     c_max = Fraction(max(fin, default=0), denom)
-    rows = _rows_from_assign(ids, pi, procs, order, assign)
-
-    schedule = _package(ids, workloads, pi, procs, rows, seeds)
     return ScheduleResult(
-        schedule=schedule,
+        schedule=_package(tasks, ids, pi, procs, order, assign, seeds),
         c_max=c_max,
         procs_per_task=tuple(pi),
         iterations_taken=0,
     )
+
+
+class _Longer:
+    """A parallel task in Part_Schedule's heap: the longest W/P first, ties to the lowest id."""
+
+    __slots__ = ("w", "p", "tid", "i")
+
+    def __init__(self, w: int, p: int, tid: int, i: int):
+        self.w, self.p, self.tid, self.i = w, p, tid, i
+
+    def __lt__(self, other: "_Longer") -> bool:
+        a, b = self.w * other.p, other.w * self.p
+        return a > b or (a == b and self.tid < other.tid)
 
 
 def part_schedule(
@@ -359,71 +352,72 @@ def part_schedule(
     runs = [(w, len(list(g))) for w, g in groupby(workloads[i] for i in order)]
     ends = list(accumulate(m for _, m in runs))
 
-    # parallel tasks keyed by (-duration, id); the longest sequential
-    # task is order[k]
-    parallel: List[Tuple[Fraction, int, int]] = []
+    # parallel tasks, longest first; the longest sequential task is order[k]
+    parallel: List[_Longer] = []
 
     def longest() -> int:
         """Task with the longest current duration, ties to the lowest id."""
         if not parallel:
             return order[k]
-        neg, tid, j = parallel[0]
+        top = parallel[0]
         if k < n:
             i = order[k]
-            if workloads[i] > -neg or (workloads[i] == -neg and ids[i] < tid):
+            w = workloads[i] * top.p  # W_i/1 against W/P, cross-multiplied
+            if w > top.w or (w == top.w and ids[i] < top.tid):
                 return i
-        return j
+        return top.i
 
     # processors no parallel task holds: procs - sum(P_i > 1)
     budget = procs
 
-    def makespan() -> Fraction:
-        """c_max of the LPT pass for the current P_i."""
+    def makespan() -> Tuple[int, int]:
+        """c_max of the LPT pass for the current P_i, as (numerator, denominator)."""
         j = longest()
         # every task runs somewhere, so c_max >= W_j/P_j.  It is exactly
         # W_j/P_j when the idle processors cover the sequential tasks (each
         # then runs alone from time 0), or when Graham's bound caps it.
         if n - k <= budget or reach[k] * pi[j] <= procs * workloads[j]:
-            return Fraction(workloads[j], pi[j])
+            return workloads[j], pi[j]
         r = bisect_right(ends, k)
         sequential = [(runs[r][0], ends[r] - k)] + runs[r + 1:]
         return _lpt_makespan([(workloads[i], pi[i]) for i in order[:k]], sequential, procs)
 
-    cur_cmax = makespan()
-    best_cmax, best_pi = cur_cmax, list(pi)
+    # makespans are (numerator, denominator) pairs, compared cross-multiplied
+    cur_top, cur_den = makespan()
+    best_top, best_den = cur_top, cur_den
+    best_pi = list(pi)
 
     iterations = 0
     while budget > 0:
         iterations += 1
         i = longest()
-        h = Fraction(workloads[i], pi[i])
         if cutoff is None or pi[i] < cutoff:
             d = 1
         else:
             d = next_approx_square_increment(pi[i])
         budget -= d + 1 if pi[i] == 1 else d
-        if cur_cmax != h or budget < 0:
+        # stop when c_max is no longer the longest task's W_i/P_i
+        if cur_top * pi[i] != workloads[i] * cur_den or budget < 0:
             break
-        entry = (Fraction(-workloads[i], pi[i] + d), ids[i], i)
+        entry = _Longer(workloads[i], pi[i] + d, ids[i], i)
         if pi[i] == 1:
             k += 1
             heapq.heappush(parallel, entry)
         else:
             heapq.heapreplace(parallel, entry)
         pi[i] += d
-        new_cmax = makespan()
-        if new_cmax > cur_cmax:
+        top, den = makespan()
+        if top * cur_den > cur_top * den:
             break
-        cur_cmax = new_cmax
-        if new_cmax < best_cmax:
-            best_cmax, best_pi = new_cmax, list(pi)
+        cur_top, cur_den = top, den
+        if top * best_den < best_top * den:
+            best_top, best_den = top, den
+            best_pi = list(pi)
 
     assign, _, pass_order = _lpt_pass_exact(ids, workloads, best_pi, procs, None, lcm(*best_pi))
-    rows = _rows_from_assign(ids, best_pi, procs, pass_order, assign)
-    schedule = _package(ids, workloads, best_pi, procs, rows, None)
     return ScheduleResult(
-        schedule=schedule,
-        c_max=best_cmax,
+        schedule=_package(tasks, ids, best_pi, procs, pass_order, assign, None),
+        c_max=Fraction(best_top, best_den),
         procs_per_task=tuple(best_pi),
         iterations_taken=iterations,
     )

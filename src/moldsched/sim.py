@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .model import (
     InvalidTaskError,
@@ -162,17 +162,6 @@ def _idle_fraction(makespan: float, busy: Sequence, procs: int) -> float:
     return float(sum((makespan - b) / makespan for b in busy) / procs)
 
 
-def _owner_groups(
-    objects: Sequence[Object], partition: PartitionMap
-) -> Tuple[List[List[int]], List[TaskSpec]]:
-    """Owning processes (ascending) of each object with edges, and its task.
-
-    The task's P_i is the size of its owner group; both no-redistribution
-    passes schedule these groups, and the partition builds them once.
-    """
-    return partition.owner_tasks(objects)
-
-
 def internal_makespan_no_redist(
     objects: Sequence[Object], partition: PartitionMap, machine: MachineModel
 ) -> Tuple[float, float]:
@@ -184,7 +173,7 @@ def internal_makespan_no_redist(
     and are skipped.
     """
     procs = partition.n_procs
-    groups, tasks = _owner_groups(objects, partition)
+    groups, tasks = partition.owner_tasks(objects)
     durations = [dense_task_time(t, machine) for t in tasks]
     makespan, busy = _simultaneity_schedule(groups, tasks, durations, procs)
     return float(makespan), _idle_fraction(float(makespan), busy, procs)
@@ -198,7 +187,7 @@ def _no_redist_work_units(
     Durations W_i / P_i are scaled by the lcm L of the group sizes, so the
     schedule runs on integers and its makespan is exact over L.
     """
-    groups, tasks = _owner_groups(objects, partition)
+    groups, tasks = partition.owner_tasks(objects)
     scale = math.lcm(*(t.procs for t in tasks))
     durations = [t.workload * (scale // t.procs) for t in tasks]
     makespan, _ = _simultaneity_schedule(groups, tasks, durations, partition.n_procs)

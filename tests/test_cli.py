@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moldsched as ms
 from moldsched.cli import main, scenario_from_json, scenario_to_json
@@ -51,6 +53,26 @@ class TestScenarioRoundTrip:
         out = tmp_path / "ip.json"
         assert run_cli(capsys, "gen", "interposer", "-o", str(out))[0] == 0
         text = out.read_text()
+        assert scenario_to_json(scenario_from_json(text)) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_generated_scenarios_round_trip(self, data):
+        kind = data.draw(st.sampled_from(["random", "bus", "srr"]))
+        if kind == "random":
+            lo = data.draw(st.integers(0, 10**4))
+            scenario = ms.gen_random(
+                data.draw(st.integers(1, 300)),
+                (lo, lo + data.draw(st.integers(0, 10**6))),
+                data.draw(st.integers(-(2**63), 2**63)),
+            )
+        elif kind == "bus":
+            scenario = ms.gen_bus(data.draw(st.integers(1, 400)))
+        else:
+            large = data.draw(st.integers(0, 1488))
+            medium = data.draw(st.integers(0, 1488 - large))
+            scenario = ms.gen_srr((large, medium, 1488 - large - medium))
+        text = scenario_to_json(scenario)
         assert scenario_to_json(scenario_from_json(text)) == text
 
     def test_unknown_top_level_key_rejected(self):

@@ -386,8 +386,52 @@ def hand_built_cases(draw):
     return ms.lpt_schedule(tasks, procs).schedule, ms.PartitionMap(owned=owned)
 
 
+@st.composite
+def grouped_cases(draw):
+    """Rows built by hand around two or more parallel groups.
+
+    Sequential tasks sit on group rows and on plain rows; sometimes a
+    second parallel task shares a group's rows, or spans one group row and
+    a plain row.  One process owns as much of group 0's task as of a plain
+    row's task and nothing else, so its overlaps with both tie.
+    """
+    procs = draw(st.integers(5, 12))
+    perm = draw(st.permutations(range(procs)))
+    sizes = [draw(st.integers(2, 4)) for _ in range(draw(st.integers(2, (procs - 1) // 2)))]
+    while sum(sizes) > procs - 1:
+        sizes[sizes.index(max(sizes))] -= 1
+    groups, start = [], 0
+    for size in sizes:
+        groups.append(perm[start:start + size])
+        start += size
+    plain = perm[start:]
+    if draw(st.booleans()):
+        groups.append(groups[0])
+    if draw(st.booleans()):
+        groups.append([groups[1][0], plain[0]])
+    # sequential tasks: one on a plain row, one on a group row, the rest anywhere
+    seq_rows = [plain[-1], groups[0][-1]] + draw(st.lists(st.integers(0, procs - 1), max_size=8))
+    rows = [[] for _ in range(procs)]
+    assignment = {}
+    for tid, members in enumerate(groups + [[r] for r in seq_rows]):
+        for r in members:
+            rows[r].append(tid)
+        assignment[tid] = frozenset(members)
+    tasks = [ms.TaskSpec(tid, 1, len(members)) for tid, members in assignment.items()]
+    schedule = ms.Schedule.packed(tuple(map(tuple, rows)), assignment, tasks)
+
+    n = len(tasks)
+    owned = np.array(draw(st.lists(
+        st.lists(st.sampled_from([0, 0, 1, 2, 7]), min_size=n, max_size=n),
+        min_size=procs, max_size=procs)))
+    q = draw(st.integers(0, procs - 1))
+    owned[q, :] = 0
+    owned[q, 0] = owned[q, len(groups)] = draw(st.integers(1, 3))
+    return schedule, ms.PartitionMap(owned=owned)
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=hand_built_cases())
+@given(case=st.one_of(hand_built_cases(), grouped_cases()))
 def test_property_assign_matches_dense_reference(case):
     # processes that own nothing, or nothing of a free row, take the lowest
     # free row; equal overlaps go to the lowest row

@@ -319,6 +319,11 @@ class TestFastPathEquivalence:
                 for cutoff in (20, None):
                     assert_matches_reference(tasks, procs, cutoff)
 
+    def test_parallel_ties_go_to_the_lowest_id(self):
+        # parallel tasks of equal W/P but different P_i: growing the
+        # higher id first overdraws the budget one iteration early
+        assert_matches_reference(make_tasks([180, 120, 120, 240, 180, 60]), 28, 4)
+
     def test_huge_workloads_use_exact_path(self):
         # workloads past int64: the result is still exact
         w = 2**56
@@ -382,3 +387,72 @@ def test_property_part_schedule_matches_reference(workloads, spare, cutoff):
     # while there are more processors than tasks, so draw P on both sides of n
     procs = min(64, max(1, len(workloads) + spare))
     assert_matches_reference(make_tasks(workloads), procs, cutoff)
+
+
+def reference_times(result, tasks, procs, seeds=None):
+    """Start and finish times by the eager packing loop: a Fraction clock per row.
+
+    Kept as the reference for the times a packed schedule makes on read:
+    each row runs back to back from its seed, a slot lasting W_i / P_i.
+    """
+    workload_of = {t.object_id: t.workload for t in tasks}
+    group_of = dict(zip((t.object_id for t in tasks), result.procs_per_task))
+    start_times = []
+    finish_times = []
+    for p in range(procs):
+        clock = Fraction(0) if seeds is None else Fraction(seeds[p])
+        starts = []
+        for tid in result.schedule.rows[p]:
+            starts.append(clock)
+            clock += Fraction(workload_of[tid], group_of[tid])
+        start_times.append(tuple(starts))
+        finish_times.append(clock)
+    return tuple(start_times), tuple(finish_times)
+
+
+def assert_times_match_reference(result, tasks, procs, seeds, read_makespan_first):
+    schedule = result.schedule
+    # the times are made on the first read, whichever name is read first
+    if read_makespan_first:
+        assert schedule.makespan() == result.c_max
+    starts, finish = reference_times(result, tasks, procs, seeds)
+    assert schedule.start_times == starts
+    assert schedule.finish_times == finish
+    assert schedule.makespan() == max(finish, default=Fraction(0)) == result.c_max
+    check_schedule(schedule, tasks, procs, initial_finish=seeds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    workloads=WORKLOAD_RUNS,
+    procs=st.integers(1, 24),
+    data=st.data(),
+    read_makespan_first=st.booleans(),
+)
+def test_property_lpt_seeded_times_match_eager_packing(
+    workloads, procs, data, read_makespan_first
+):
+    # non-integer seeds make the clocks' denominator the lcm of theirs
+    seeds = data.draw(st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(0, 10**6, max_denominator=36)),
+        min_size=procs, max_size=procs,
+    ))
+    tasks = make_tasks(workloads)
+    result = ms.lpt_schedule(tasks, procs, initial_finish=seeds)
+    assert_times_match_reference(result, tasks, procs, seeds, read_makespan_first)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    workloads=WORKLOAD_RUNS,
+    spare=st.integers(-40, 40),
+    cutoff=st.one_of(st.none(), st.integers(1, 20)),
+    read_makespan_first=st.booleans(),
+)
+def test_property_part_schedule_times_match_eager_packing(
+    workloads, spare, cutoff, read_makespan_first
+):
+    procs = min(64, max(1, len(workloads) + spare))
+    tasks = make_tasks(workloads)
+    result = ms.part_schedule(tasks, procs, cutoff)
+    assert_times_match_reference(result, tasks, procs, None, read_makespan_first)

@@ -11,7 +11,6 @@ import moldsched as ms
 from moldsched.sim import (
     StrategyKind,
     _no_redist_work_units,
-    _owner_groups,
     _simultaneity_schedule,
     run_strategy,
 )
@@ -210,17 +209,17 @@ class TestNoRedistWorkUnits:
 class TestOwnerGroups:
     def test_built_once_per_partition(self, srr):
         part = ms.partition_external(srr.objects, 100)
-        groups, tasks = _owner_groups(srr.objects, part)
-        assert _owner_groups(srr.objects, part) == (groups, tasks)
-        assert _owner_groups(srr.objects, part)[1] is tasks
+        groups, tasks = part.owner_tasks(srr.objects)
+        assert part.owner_tasks(srr.objects) == (groups, tasks)
+        assert part.owner_tasks(srr.objects)[1] is tasks
 
     def test_follow_the_order_of_the_objects(self):
         objs = [ms.Object(0, 7), ms.Object(1, 0), ms.Object(2, 9)]
         part = ms.PartitionMap(owned=np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
-        groups, tasks = _owner_groups(objs, part)
+        groups, tasks = part.owner_tasks(objs)
         assert groups == [[0, 1, 2], [0, 2]]
         assert tasks == [ms.TaskSpec(0, 49, 3), ms.TaskSpec(2, 81, 2)]
-        assert _owner_groups(objs[::-1], part) == (groups[::-1], tasks[::-1])
+        assert part.owner_tasks(objs[::-1]) == (groups[::-1], tasks[::-1])
 
 
 def assert_schedule_matches_reference(groups, tasks, durations, procs):
@@ -230,7 +229,7 @@ def assert_schedule_matches_reference(groups, tasks, durations, procs):
 
 def assert_owner_schedules_match(objects, partition, machine):
     """Both no-redist passes: float seconds and lcm-scaled integer work units."""
-    groups, tasks = _owner_groups(objects, partition)
+    groups, tasks = partition.owner_tasks(objects)
     scale = math.lcm(*(t.procs for t in tasks))
     seconds = [ms.dense_task_time(t, machine) for t in tasks]
     units = [t.workload * (scale // t.procs) for t in tasks]
@@ -266,7 +265,7 @@ class TestSimultaneitySchedule:
         machine = ms.MachineModel(t_work=0.0, gamma_grid=0.0)
         for procs in (20, 1000):
             part = ms.partition_external(srr.objects, procs)
-            groups, tasks = _owner_groups(srr.objects, part)
+            groups, tasks = part.owner_tasks(srr.objects)
             seconds = [ms.dense_task_time(t, machine) for t in tasks]
             assert set(seconds) == {0.0}
             for durations in (seconds, [0] * len(tasks)):
