@@ -126,11 +126,6 @@ def load_scenario(path: str) -> Scenario:
         return scenario_from_json(fh.read())
 
 
-def save_scenario(scenario: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scenario_to_json(scenario))
-
-
 def _parse_range(text: str) -> List[int]:
     """Parse 'start:stop:step' (stop inclusive) or a single integer, all >= 1."""
     parts = text.split(":")
@@ -207,8 +202,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sched.add_argument("scenario")
     sched.add_argument("--procs", type=_procs_arg, required=True)
     sched.add_argument("--strategy", choices=["proposed", "any-pi"], default="proposed")
-    sched.add_argument("--cutoff", type=str, default="20",
-                       help="approximate-square cutoff or 'unlimited'")
+    sched.add_argument("--cutoff", type=str, default=None,
+                       help="approximate-square cutoff or 'unlimited' "
+                            "(default: the scenario file's cutoff)")
     sched.add_argument("--csv", type=str, default=None,
                        help="also write per-task rows to this CSV file")
 
@@ -259,9 +255,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    cutoff = _parse_cutoff(args.cutoff)
+    cutoff = None if args.cutoff is None else _parse_cutoff(args.cutoff)
     scenario = load_scenario(args.scenario)
     tasks = scenario.tasks()
+    if args.cutoff is None:
+        cutoff = scenario.cutoff
     if args.strategy == "any-pi":
         cutoff = None
     result = part_schedule(tasks, args.procs, cutoff)

@@ -365,6 +365,8 @@ class Scenario:
     grid: Tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
+        if not self.objects:
+            raise InvalidScenarioError("a scenario needs at least one object")
         if sorted(o.id for o in self.objects) != list(range(len(self.objects))):
             raise InvalidScenarioError("object ids must be the indices 0..N-1")
         if self.iterations < 1:

@@ -12,9 +12,11 @@ rebuild when the makespan is the longest task's duration: when the idle
 processors are at least as many as the sequential tasks (each then runs
 alone from time zero), or when Graham's list-scheduling bound proves it.
 Otherwise it computes the makespan from buckets of equal finish times.
-It places the tasks once, for the best processor counts found.  A built
-schedule keeps integer clocks until its start and finish times are
-read; only then are they made exact ``Fraction``s (see ``Schedule``).
+It places the tasks once, for the best processor counts found, in the
+LPT placement pass that ``lpt_schedule`` also runs: one pass builds the
+rows and the processor groups and gives the makespan.  A built schedule
+keeps integer clocks until its start and finish times are read; only
+then are they made exact ``Fraction``s (see ``Schedule``).
 """
 
 from __future__ import annotations
@@ -106,46 +108,51 @@ def nearest_approx_square(p: int) -> int:
     return below if p - below <= above - p else above
 
 
-def _lpt_pass_exact(
-    ids: Sequence[int],
-    workloads: Sequence[int],
+def _lpt_place(
+    tasks: Sequence[TaskSpec],
     pi: Sequence[int],
     procs: int,
-    scaled_seeds: Optional[Sequence[int]],
-    denom: int,
-) -> Tuple[List[int], List[int], List[int]]:
-    """Arbitrary-precision LPT pass over durations scaled by ``denom``.
+    seeds: Optional[Sequence[Fraction]],
+) -> Tuple[Schedule, Tuple[int, int]]:
+    """One LPT pass with the P_i fixed: the Schedule and its makespan as (top, denom).
 
-    Returns (assign, fin, order): the first processor of each parallel
-    task's contiguous group / the processor of each sequential task, the
-    scaled finish times, and the placement order used.
+    Durations are scaled by denom, the lcm of the P_i and of the seed
+    denominators, and placed longest first, ties to the lowest id.
+    Parallel tasks take contiguous groups from processor 0; sequential
+    tasks then go to the earliest-finishing processor, ties to the lowest
+    processor id.  So each row holds its parallel task, if any, first.
+    The makespan is top / denom.
     """
-    n = len(ids)
-    scaled = [workloads[i] * (denom // pi[i]) for i in range(n)]
-    order = sorted(range(n), key=lambda i: (-scaled[i], ids[i]))
-
-    fin = [0] * procs if scaled_seeds is None else list(scaled_seeds)
-    assign = [0] * n
+    denom = lcm(*pi, *(s.denominator for s in seeds or ()))
+    scaled = [t.workload * (denom // k) for t, k in zip(tasks, pi)]
+    order = sorted(range(len(tasks)), key=lambda i: (-scaled[i], tasks[i].object_id))
+    fin = [0] * procs if seeds is None else [int(s * denom) for s in seeds]
+    rows: List[List[int]] = [[] for _ in range(procs)]
+    groups = {}
 
     nxt = 0
     for i in order:
         k = pi[i]
         if k > 1:
-            assign[i] = nxt
-            for p in range(nxt, nxt + k):
+            tid = tasks[i].object_id
+            group = range(nxt, nxt + k)
+            for p in group:
+                rows[p].append(tid)
                 fin[p] += scaled[i]
+            groups[tid] = frozenset(group)
             nxt += k
 
-    heap = [(fin[p], p) for p in range(procs)]
+    heap = [(f, p) for p, f in enumerate(fin)]
     heapq.heapify(heap)
     for i in order:
         if pi[i] == 1:
+            tid = tasks[i].object_id
             f, p = heap[0]
-            assign[i] = p
+            rows[p].append(tid)
+            groups[tid] = frozenset((p,))
             heapq.heapreplace(heap, (f + scaled[i], p))
-    for f, p in heap:
-        fin[p] = f
-    return assign, fin, order
+    schedule = Schedule.packed(tuple(map(tuple, rows)), groups, tasks, seeds)
+    return schedule, (max(heap)[0], denom)
 
 
 def _lpt_makespan(
@@ -183,38 +190,6 @@ def _lpt_makespan(
                 m -= c
             top = max(top, f + s)
     return top, denom
-
-
-def _package(
-    tasks: Sequence[TaskSpec],
-    ids: Sequence[int],
-    pi: Sequence[int],
-    procs: int,
-    order: Sequence[int],
-    assign: Sequence[int],
-    seeds: Optional[Sequence[Fraction]],
-) -> Schedule:
-    """The Schedule of an LPT pass: parallel tasks first in each row, then sequential.
-
-    Rows run back to back from ``seeds``; their times are made on read.
-    """
-    rows: List[List[int]] = [[] for _ in range(procs)]
-    groups = {}
-    for i in order:
-        k = pi[i]
-        if k > 1:
-            tid = ids[i]
-            group = range(assign[i], assign[i] + k)
-            for p in group:
-                rows[p].append(tid)
-            groups[tid] = frozenset(group)
-    for i in order:
-        if pi[i] == 1:
-            tid = ids[i]
-            p = assign[i]
-            rows[p].append(tid)
-            groups[tid] = frozenset((p,))
-    return Schedule.packed(tuple(map(tuple, rows)), groups, tasks, seeds)
 
 
 def _check_inputs(tasks: Sequence[TaskSpec], procs: int) -> None:
@@ -266,19 +241,11 @@ def lpt_schedule(
                 "initial_finish seeds are only supported for sequential task lists"
             )
 
-    ids = [t.object_id for t in tasks]
-    workloads = [t.workload for t in tasks]
     pi = [t.procs for t in tasks]
-    denom = lcm(*pi)
-    scaled_seeds = None
-    if seeds is not None:
-        denom = lcm(denom, *(s.denominator for s in seeds))
-        scaled_seeds = [int(s * denom) for s in seeds]
-    assign, fin, order = _lpt_pass_exact(ids, workloads, pi, procs, scaled_seeds, denom)
-    c_max = Fraction(max(fin, default=0), denom)
+    schedule, (top, denom) = _lpt_place(tasks, pi, procs, seeds)
     return ScheduleResult(
-        schedule=_package(tasks, ids, pi, procs, order, assign, seeds),
-        c_max=c_max,
+        schedule=schedule,
+        c_max=Fraction(top, denom),
         procs_per_task=tuple(pi),
         iterations_taken=0,
     )
@@ -414,10 +381,11 @@ def part_schedule(
             best_top, best_den = top, den
             best_pi = list(pi)
 
-    assign, _, pass_order = _lpt_pass_exact(ids, workloads, best_pi, procs, None, lcm(*best_pi))
+    # the placement's makespan is best_top / best_den: the same LPT pass
+    schedule, (top, den) = _lpt_place(tasks, best_pi, procs, None)
     return ScheduleResult(
-        schedule=_package(tasks, ids, best_pi, procs, pass_order, assign, None),
-        c_max=Fraction(best_top, best_den),
+        schedule=schedule,
+        c_max=Fraction(top, den),
         procs_per_task=tuple(best_pi),
         iterations_taken=iterations,
     )

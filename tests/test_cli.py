@@ -108,6 +108,7 @@ BAD_SCENARIOS = {
     "machine not a map": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "machine": ["t_work"]}',
     "name not a string": '{"name": 5, "objects": [{"id": 0, "edges": 7}]}',
     "name missing": '{"objects": [{"id": 0, "edges": 7}]}',
+    "no objects": '{"name": "x", "objects": []}',
 }
 
 
@@ -117,7 +118,7 @@ def test_malformed_scenario_exits_3(text, tmp_path, capsys):
         scenario_from_json(text)
     bad = tmp_path / "bad.json"
     bad.write_text(text + "\n")
-    for command in ("schedule", "simulate"):
+    for command in ("schedule", "simulate", "sweep"):
         code, out, err = run_cli(capsys, command, str(bad), "--procs", "4")
         assert (code, out) == (3, ""), command
         assert "Traceback" not in err
@@ -217,6 +218,19 @@ class TestSchedule:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_cutoff_defaults_to_the_scenario_file(self, tmp_path, capsys):
+        path = tmp_path / "cutoff2.json"
+        path.write_text('{"name": "c", "objects": [{"id": 0, "edges": 50}, '
+                        '{"id": 1, "edges": 40}, {"id": 2, "edges": 30}], "cutoff": 2}\n')
+        code, out, _ = run_cli(capsys, "schedule", str(path), "--procs", "6")
+        assert code == 0
+        assert "cutoff 2\n" in out and "normalized_length 1.5\n" in out
+        assert run_cli(capsys, "schedule", str(path), "--procs", "6", "--cutoff", "2")[1] == out
+        assert "c_max_norm 1.5\n" in run_cli(capsys, "simulate", str(path), "--procs", "6")[1]
+        # an explicit --cutoff still overrides the file's
+        _, out, _ = run_cli(capsys, "schedule", str(path), "--procs", "6", "--cutoff", "20")
+        assert "cutoff 20\n" in out and "normalized_length 1.08\n" in out
 
     def test_csv_emission(self, bus5, tmp_path, capsys):
         csv_path = tmp_path / "tasks.csv"

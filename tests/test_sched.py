@@ -389,6 +389,65 @@ def test_property_part_schedule_matches_reference(workloads, spare, cutoff):
     assert_matches_reference(make_tasks(workloads), procs, cutoff)
 
 
+def reference_lpt_placement(tasks, procs, seeds=None):
+    """LPT with the P_i fixed, one task per step on ``Fraction`` finish times.
+
+    Kept as the reference that ``lpt_schedule`` must reproduce: tasks go
+    longest W_i/P_i first, ties to the lowest id.  Parallel tasks take
+    contiguous groups from processor 0; sequential tasks then go to the
+    earliest-finishing processor, ties to the lowest processor id.
+    Returns (rows, proc_assignment, c_max).
+    """
+    order = sorted(tasks, key=lambda t: (-Fraction(t.workload, t.procs), t.object_id))
+    fin = [Fraction(0)] * procs if seeds is None else [Fraction(s) for s in seeds]
+    rows = [[] for _ in range(procs)]
+    assignment = {}
+    nxt = 0
+    for t in order:
+        if t.procs > 1:
+            group = range(nxt, nxt + t.procs)
+            for p in group:
+                rows[p].append(t.object_id)
+                fin[p] += Fraction(t.workload, t.procs)
+            assignment[t.object_id] = frozenset(group)
+            nxt += t.procs
+    for t in order:
+        if t.procs == 1:
+            p = min(range(procs), key=fin.__getitem__)  # the first of equal minima
+            rows[p].append(t.object_id)
+            fin[p] += t.workload
+            assignment[t.object_id] = frozenset((p,))
+    return tuple(map(tuple, rows)), assignment, max(fin)
+
+
+@settings(max_examples=300, deadline=None)
+@given(workloads=WORKLOAD_RUNS, procs=st.integers(1, 64), seeded=st.booleans(), data=st.data())
+def test_property_lpt_schedule_matches_reference(workloads, procs, seeded, data):
+    n = len(workloads)
+    # shuffled ids, so the id tie rule is not the input order
+    ids = data.draw(st.permutations(range(n)))
+    seeds = None
+    if seeded:
+        counts = [1] * n
+        seeds = data.draw(st.lists(
+            st.one_of(st.just(Fraction(0)), st.fractions(0, 10**6, max_denominator=36)),
+            min_size=procs, max_size=procs,
+        ))
+    else:
+        # any P_i vector whose parallel P_i sum to at most P: the gaps
+        # between distinct cut points in 1..P, on tasks drawn at random
+        cuts = sorted(data.draw(st.sets(st.integers(1, procs), max_size=n)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts)]
+        counts = data.draw(st.permutations(sizes + [1] * (n - len(sizes))))
+    tasks = [ms.TaskSpec(i, w, k) for i, w, k in zip(ids, workloads, counts)]
+    result = ms.lpt_schedule(tasks, procs, initial_finish=seeds)
+    rows, assignment, c_max = reference_lpt_placement(tasks, procs, seeds)
+    assert result.schedule.rows == rows
+    assert dict(result.schedule.proc_assignment) == assignment
+    assert result.c_max == c_max
+    check_schedule(result.schedule, tasks, procs, initial_finish=seeds)
+
+
 def reference_times(result, tasks, procs, seeds=None):
     """Start and finish times by the eager packing loop: a Fraction clock per row.
 
