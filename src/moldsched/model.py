@@ -305,22 +305,20 @@ class PartitionMap:
                 owned[p, i] = edges
         return owned
 
-    def owner_tasks(
-        self, objects: Sequence[Object]
-    ) -> Tuple[List[List[int]], List[TaskSpec]]:
-        """Owning processes of each object with edges, and its task on them.
+    def owner_tasks(self, objects: Sequence[Object]) -> Tuple[List[List[int]], List[int]]:
+        """Owning processes and workload of each object with edges.
 
         ``objects`` are the partitioned objects; both lists follow their
-        order.  The task is the object's whole workload with P_i the number
-        of owners, as when it runs where its mesh already is.  The last
-        result is kept with its objects, so repeated reads for the same
-        objects build it once.
+        order.  The object's task is its whole workload (edges squared) on
+        its owners, so P_i is the group's length, as when the task runs
+        where its mesh already is.  The last result is kept with its
+        objects, so repeated reads for the same objects build it once.
         """
         if self._owner_tasks is None or self._owner_tasks[0] is not objects:
             live = [o for o in objects if o.edges > 0]
             groups = [[p for p, _ in self.pieces[o.id]] for o in live]
-            tasks = [TaskSpec(o.id, o.edges * o.edges, len(g)) for o, g in zip(live, groups)]
-            object.__setattr__(self, "_owner_tasks", (objects, groups, tasks))
+            workloads = [o.edges * o.edges for o in live]
+            object.__setattr__(self, "_owner_tasks", (objects, groups, workloads))
         return self._owner_tasks[1], self._owner_tasks[2]
 
 

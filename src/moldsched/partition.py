@@ -57,39 +57,27 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     if sorted(o.id for o in objects) != list(range(len(objects))):
         raise InvalidScenarioError("object ids must be the indices 0..N-1")
     total = sum(o.edges for o in objects)
-    if total <= 0:
-        raise InvalidScenarioError("partitioning needs a positive total edge count")
 
     pieces: List[Pieces] = [()] * len(objects)
 
-    # (load, process id) min-heap; stale entries are refreshed on pop
-    loads = [0] * procs
+    # (load, process id) min-heap, one entry per process
     heap: List[Tuple[int, int]] = [(0, p) for p in range(procs)]
-
-    def pop_least() -> int:
-        while True:
-            load, p = heapq.heappop(heap)
-            if load == loads[p]:
-                return p
-            heapq.heappush(heap, (loads[p], p))
 
     for obj in sorted(objects, key=lambda o: (-o.edges, o.id)):
         if obj.edges == 0:
             continue
         if obj.edges * procs <= total:  # edges <= target
-            p = pop_least()
+            load, p = heap[0]
             pieces[obj.id] = ((p, obj.edges),)
-            loads[p] += obj.edges
-            heapq.heappush(heap, (loads[p], p))
+            heapq.heapreplace(heap, (load + obj.edges, p))
             continue
         k = -(-obj.edges * procs // total)  # ceil(edges / target)
         k = min(k, obj.edges, procs)
         base, rem = divmod(obj.edges, k)
-        takers = [pop_least() for _ in range(k)]
-        chunks = [(p, base + 1 if idx < rem else base) for idx, p in enumerate(takers)]
-        for p, chunk in chunks:
-            loads[p] += chunk
-            heapq.heappush(heap, (loads[p], p))
+        takers = [heapq.heappop(heap) for _ in range(k)]
+        chunks = [(p, base + 1 if idx < rem else base) for idx, (_, p) in enumerate(takers)]
+        for (load, _), (p, chunk) in zip(takers, chunks):
+            heapq.heappush(heap, (load + chunk, p))
         # the takers are distinct: none is pushed back before all k are popped
         pieces[obj.id] = tuple(sorted(chunks))
 

@@ -94,10 +94,15 @@ def dense_task_time(task: TaskSpec, machine: MachineModel) -> float:
     """
     if task.procs < 1:
         raise InvalidTaskError(f"task {task.object_id}: procs must be >= 1")
-    seconds = machine.t_work * task.workload / task.procs
-    if task.procs > 1:
-        r, c = grid_factors(task.procs)
-        seconds += machine.gamma_grid * math.sqrt(task.workload) * (r + c)
+    return _dense_seconds(task.workload, task.procs, machine)
+
+
+def _dense_seconds(workload: int, procs: int, machine: MachineModel) -> float:
+    """``dense_task_time`` of a workload on procs >= 1 processes."""
+    seconds = machine.t_work * workload / procs
+    if procs > 1:
+        r, c = grid_factors(procs)
+        seconds += machine.gamma_grid * math.sqrt(workload) * (r + c)
     return seconds
 
 
@@ -111,7 +116,7 @@ def external_phase_time(partition: PartitionMap, machine: MachineModel) -> float
 
 def _simultaneity_schedule(
     groups: Sequence[Sequence[int]],
-    tasks: Sequence[TaskSpec],
+    workloads: Sequence[int],
     durations: Sequence,
     procs: int,
 ):
@@ -121,24 +126,40 @@ def _simultaneity_schedule(
     workload, then lower index) at that ready time.  Returns (makespan,
     per-processor busy time); works for float or integer durations.
 
-    Heap keys are lazy: a popped key below its group's ready time is pushed
-    back with the current one.  The single-owner tasks of one process share
-    its ready time, so they start in (-W, index) order; only the next of
-    them waits in the heap, and its successor is pushed when it starts.
+    The single-owner tasks of one process share its ready time, so they
+    start in (-W, index) order.  A process in no multi-process group runs
+    them back to back from 0: its free and busy times are the running sum
+    of their durations, added in that order.  Only the multi-process tasks
+    and the next single-owner task of each shared process wait in the
+    heap; a started single-owner task pushes its successor at the new free
+    time.  Heap keys are lazy: a popped key below its group's ready time
+    is pushed back with the current one.
     """
     free = [0] * procs
     busy = [0] * procs
-    queues = [[] for _ in range(procs)]
+    shared = [False] * procs
     heap = []
-    for i, (g, t) in enumerate(zip(groups, tasks)):
+    for i, g in enumerate(groups):
+        if len(g) > 1:
+            heap.append((0, -workloads[i], i))
+            for p in g:
+                shared[p] = True
+    queues = [[] for _ in range(procs)]
+    # stable under reverse=True: descending W, then ascending index
+    for i in sorted(range(len(groups)), key=workloads.__getitem__, reverse=True):
+        g = groups[i]
         if len(g) == 1:
-            queues[g[0]].append((-t.workload, i))
-        else:
-            heap.append((0, -t.workload, i))
+            p = g[0]
+            if shared[p]:
+                queues[p].append(i)
+            else:
+                free[p] += durations[i]
+                busy[p] = free[p]
     for q in queues:
-        q.sort(reverse=True)
         if q:
-            heap.append((0, *q.pop()))
+            q.reverse()
+            i = q.pop()
+            heap.append((0, -workloads[i], i))
     heapq.heapify(heap)
     while heap:
         ready, negw, i = heapq.heappop(heap)
@@ -152,7 +173,8 @@ def _simultaneity_schedule(
             free[p] = end
             busy[p] += durations[i]
         if len(g) == 1 and queues[g[0]]:
-            heapq.heappush(heap, (end, *queues[g[0]].pop()))
+            j = queues[g[0]].pop()
+            heapq.heappush(heap, (end, -workloads[j], j))
     return max(free, default=0), busy
 
 
@@ -173,9 +195,9 @@ def internal_makespan_no_redist(
     and are skipped.
     """
     procs = partition.n_procs
-    groups, tasks = partition.owner_tasks(objects)
-    durations = [dense_task_time(t, machine) for t in tasks]
-    makespan, busy = _simultaneity_schedule(groups, tasks, durations, procs)
+    groups, workloads = partition.owner_tasks(objects)
+    durations = [_dense_seconds(w, len(g), machine) for g, w in zip(groups, workloads)]
+    makespan, busy = _simultaneity_schedule(groups, workloads, durations, procs)
     return float(makespan), _idle_fraction(float(makespan), busy, procs)
 
 
@@ -187,10 +209,10 @@ def _no_redist_work_units(
     Durations W_i / P_i are scaled by the lcm L of the group sizes, so the
     schedule runs on integers and its makespan is exact over L.
     """
-    groups, tasks = partition.owner_tasks(objects)
-    scale = math.lcm(*(t.procs for t in tasks))
-    durations = [t.workload * (scale // t.procs) for t in tasks]
-    makespan, _ = _simultaneity_schedule(groups, tasks, durations, partition.n_procs)
+    groups, workloads = partition.owner_tasks(objects)
+    scale = math.lcm(*(len(g) for g in groups))
+    durations = [w * (scale // len(g)) for g, w in zip(groups, workloads)]
+    makespan, _ = _simultaneity_schedule(groups, workloads, durations, partition.n_procs)
     return Fraction(makespan, scale)
 
 
@@ -199,7 +221,7 @@ def _schedule_seconds(
 ) -> Tuple[float, float]:
     """Makespan/idle of a built schedule with slots priced by dense_task_time."""
     seconds_of = {
-        t.object_id: dense_task_time(TaskSpec(t.object_id, t.workload, k), machine)
+        t.object_id: _dense_seconds(t.workload, k, machine)
         for t, k in zip(tasks, result.procs_per_task)
     }
     busy = [sum(seconds_of[tid] for tid in row) for row in result.schedule.rows]

@@ -152,6 +152,17 @@ def test_non_contiguous_object_ids_exit_3(ids, tmp_path, capsys):
         assert "0..N-1" in err
 
 
+def test_all_zero_edge_scenario_runs_every_command(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text('{"name": "z", "objects": [{"id": 0, "edges": 0}, {"id": 1, "edges": 0}]}\n')
+    for command in ("schedule", "simulate", "sweep"):
+        code, out, err = run_cli(capsys, command, str(path), "--procs", "4")
+        assert (code, err) == (0, ""), command
+    assert out.splitlines()[1:] == [
+        f"4,{s},0.0,0.0,0.0,0.0,0.0,0,0,0.0,0.0" for s in ("any-pi", "no-redist", "proposed")
+    ]
+
+
 def test_integer_machine_coefficient_accepted():
     doc = '{"name": "x", "objects": [{"id": 0, "edges": 7}], "machine": {"t_work": 2}}'
     assert scenario_from_json(doc).machine.t_work == 2.0

@@ -167,9 +167,10 @@ class TestPartitionExternal:
                     assert counts[obj.id] == 1
             assert max(part.loads()) <= 2 * target
 
-    def test_zero_total_rejected(self):
-        with pytest.raises(ms.InvalidScenarioError):
-            ms.partition_external(objects_of([0, 0]), 2)
+    def test_zero_total_places_nothing(self):
+        part = ms.partition_external(objects_of([0, 0]), 2)
+        assert part.pieces == ((), ())
+        assert part.loads() == [0, 0]
 
     def test_noncontiguous_ids_rejected(self):
         with pytest.raises(ms.InvalidScenarioError):

@@ -209,32 +209,34 @@ class TestNoRedistWorkUnits:
 class TestOwnerGroups:
     def test_built_once_per_partition(self, srr):
         part = ms.partition_external(srr.objects, 100)
-        groups, tasks = part.owner_tasks(srr.objects)
-        assert part.owner_tasks(srr.objects) == (groups, tasks)
-        assert part.owner_tasks(srr.objects)[1] is tasks
+        groups, workloads = part.owner_tasks(srr.objects)
+        assert part.owner_tasks(srr.objects) == (groups, workloads)
+        assert part.owner_tasks(srr.objects)[1] is workloads
 
     def test_follow_the_order_of_the_objects(self):
         objs = [ms.Object(0, 7), ms.Object(1, 0), ms.Object(2, 9)]
         part = ms.PartitionMap(owned=np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
-        groups, tasks = part.owner_tasks(objs)
+        groups, workloads = part.owner_tasks(objs)
         assert groups == [[0, 1, 2], [0, 2]]
-        assert tasks == [ms.TaskSpec(0, 49, 3), ms.TaskSpec(2, 81, 2)]
-        assert part.owner_tasks(objs[::-1]) == (groups[::-1], tasks[::-1])
+        assert workloads == [49, 81]
+        assert part.owner_tasks(objs[::-1]) == (groups[::-1], workloads[::-1])
 
 
-def assert_schedule_matches_reference(groups, tasks, durations, procs):
-    got = _simultaneity_schedule(groups, tasks, durations, procs)
+def assert_schedule_matches_reference(groups, workloads, durations, procs):
+    got = _simultaneity_schedule(groups, workloads, durations, procs)
+    tasks = [ms.TaskSpec(i, w, len(g)) for i, (g, w) in enumerate(zip(groups, workloads))]
     assert got == reference_simultaneity_schedule(groups, tasks, durations, procs)
 
 
 def assert_owner_schedules_match(objects, partition, machine):
     """Both no-redist passes: float seconds and lcm-scaled integer work units."""
-    groups, tasks = partition.owner_tasks(objects)
+    groups, workloads = partition.owner_tasks(objects)
+    tasks = [ms.TaskSpec(0, w, len(g)) for g, w in zip(groups, workloads)]
     scale = math.lcm(*(t.procs for t in tasks))
     seconds = [ms.dense_task_time(t, machine) for t in tasks]
     units = [t.workload * (scale // t.procs) for t in tasks]
     for durations in (seconds, units):
-        assert_schedule_matches_reference(groups, tasks, durations, partition.n_procs)
+        assert_schedule_matches_reference(groups, workloads, durations, partition.n_procs)
 
 
 class TestSimultaneitySchedule:
@@ -261,15 +263,38 @@ class TestSimultaneitySchedule:
         for objects, part in ((objs, chain), (uneven, overlap)):
             assert_owner_schedules_match(objects, part, machine)
 
+    def test_unshared_process_adds_in_queue_order(self):
+        # process 0 holds whole objects only; 1 and 2 share one.  Added in
+        # (-W, index) order, 1e16 swallows each 1.0; any other order or a
+        # compensated sum gives 1e16 + 2.
+        groups = [[0], [0], [1, 2], [0], [1]]
+        workloads = [2, 9, 5, 2, 3]
+        durations = [1.0, 1e16, 4.0, 1.0, 2.0]
+        assert_schedule_matches_reference(groups, workloads, durations, 3)
+        makespan, busy = _simultaneity_schedule(groups, workloads, durations, 3)
+        assert makespan == busy[0] == 1e16
+        assert busy[1:] == [6.0, 4.0]
+
+    def test_random_1500_objects_match_references(self):
+        scenario = ms.gen_random(1500, (50, 1500), 0)
+        for procs, split in ((760, False), (1000, True)):
+            part = ms.partition_external(scenario.objects, procs)
+            shared = {p for pieces in part.pieces if len(pieces) > 1 for p, _ in pieces}
+            assert bool(shared) is split and len(shared) < procs
+            assert_owner_schedules_match(scenario.objects, part, scenario.machine)
+            units = _no_redist_work_units(scenario.objects, part)
+            assert units == reference_no_redist_work_units(scenario.objects, part)
+
     def test_zero_durations_match_reference(self, srr):
         machine = ms.MachineModel(t_work=0.0, gamma_grid=0.0)
         for procs in (20, 1000):
             part = ms.partition_external(srr.objects, procs)
-            groups, tasks = part.owner_tasks(srr.objects)
-            seconds = [ms.dense_task_time(t, machine) for t in tasks]
+            groups, workloads = part.owner_tasks(srr.objects)
+            seconds = [ms.dense_task_time(ms.TaskSpec(0, w, len(g)), machine)
+                       for g, w in zip(groups, workloads)]
             assert set(seconds) == {0.0}
-            for durations in (seconds, [0] * len(tasks)):
-                assert_schedule_matches_reference(groups, tasks, durations, procs)
+            for durations in (seconds, [0] * len(workloads)):
+                assert_schedule_matches_reference(groups, workloads, durations, procs)
 
 
 @st.composite
@@ -283,18 +308,16 @@ def owner_schedules(draw):
     n = draw(st.integers(0, 40))
     row = st.tuples(group, st.integers(0, 30), st.integers(0, 20))
     rows = draw(st.lists(row, min_size=n, max_size=n))
-    groups = [g for g, _, _ in rows]
-    tasks = [ms.TaskSpec(i, w, len(g)) for i, (g, w, _) in enumerate(rows)]
-    return groups, tasks, [d for _, _, d in rows], procs
+    return [g for g, _, _ in rows], [w for _, w, _ in rows], [d for _, _, d in rows], procs
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=owner_schedules())
 def test_property_simultaneity_schedule_matches_reference(case):
-    groups, tasks, durations, procs = case
-    assert_schedule_matches_reference(groups, tasks, durations, procs)
+    groups, workloads, durations, procs = case
+    assert_schedule_matches_reference(groups, workloads, durations, procs)
     seconds = [d / 3 for d in durations]
-    assert_schedule_matches_reference(groups, tasks, seconds, procs)
+    assert_schedule_matches_reference(groups, workloads, seconds, procs)
 
 
 class TestSimulate:
