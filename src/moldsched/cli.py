@@ -26,8 +26,8 @@ from .model import (
     SchedulingError,
 )
 from .scenarios import gen_bus, gen_interposer, gen_random, gen_srr
-from .sched import ideal_length, part_schedule
-from .sim import StrategyKind, run_strategy
+from .sched import ideal_length, normalized_length, part_schedule
+from .sim import SimReport, StrategyKind, run_strategy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -272,7 +272,7 @@ def _cmd_schedule(args) -> int:
         f"cutoff {'unlimited' if cutoff is None else cutoff}",
         f"c_max {float(result.c_max)!r}",
         f"c_ideal {float(ideal)!r}",
-        f"normalized_length {float(result.c_max / ideal) if ideal else 1.0!r}",
+        f"normalized_length {normalized_length(result.c_max, ideal)!r}",
     ]
     for task, k in zip(tasks, result.procs_per_task):
         lines.append(f"task {task.object_id} procs {k}")
@@ -314,6 +314,33 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _sweep_cells(
+    scenario: Scenario, strategies: Sequence[StrategyKind], p: int
+) -> Dict[Tuple[int, str], Tuple[SimReport, float]]:
+    """(report, c_max_norm) of each strategy at one P, each computed once.
+
+    The strategies share one external partition.  ``proposed`` runs
+    before ``any-pi``, and when its cutoff never bound, ``any-pi`` would
+    take the same steps, so it takes ``proposed``'s report.  Only the
+    reports leave this function: the partitions and schedules of one P
+    are freed before the next P starts.
+    """
+    cells = {}
+    partition = None
+    proposed = None
+    for strategy in sorted(set(strategies), key=list(StrategyKind).index):
+        if (strategy is StrategyKind.ANY_PI and proposed is not None
+                and not proposed.schedule_result.restricted):
+            run = proposed
+        else:
+            run = run_strategy(scenario, strategy, p, partition)
+        partition = run.partition
+        if strategy is StrategyKind.PROPOSED:
+            proposed = run
+        cells[(p, strategy.value)] = (run.report, run.c_max_norm)
+    return cells
+
+
 def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     procs = _parse_range(args.procs)
@@ -322,23 +349,21 @@ def _cmd_sweep(args) -> int:
         raise InvalidTaskError("at least one strategy is required")
     strategies = [StrategyKind.from_key(k) for k in keys]
 
-    cells: Dict[Tuple[int, str], object] = {}
+    cells: Dict[Tuple[int, str], Tuple[SimReport, float]] = {}
     for p in procs:
-        for strategy in strategies:
-            cells[(p, strategy.value)] = run_strategy(scenario, strategy, p)
+        cells.update(_sweep_cells(scenario, strategies, p))
 
     p_min = min(procs)
-    t_at_pmin = {s.value: cells[(p_min, s.value)].report.t_matvec_avg for s in strategies}
+    t_at_pmin = {s.value: cells[(p_min, s.value)][0].t_matvec_avg for s in strategies}
 
     rows = [",".join(SWEEP_COLUMNS)]
     for (p, key) in sorted(cells):
-        run = cells[(p, key)]
-        r = run.report
+        r, c_max_norm = cells[(p, key)]
         t_ref = t_at_pmin[key] * p_min / p
         rows.append(
             f"{p},{key},{r.t_gen!r},{r.t_matvec_avg!r},{r.t_iter_avg!r},"
             f"{r.internal_makespan!r},{r.idle_fraction!r},{r.comm[0]},{r.comm[1]},"
-            f"{run.c_max_norm!r},{t_ref!r}"
+            f"{c_max_norm!r},{t_ref!r}"
         )
     _emit("\n".join(rows) + "\n", args.out)
     return EXIT_OK

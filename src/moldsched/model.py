@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
 class SchedulingError(Exception):
@@ -77,6 +77,19 @@ def estimate_workload(edges: int) -> int:
     if edges < 0:
         raise InvalidTaskError(f"edges must be >= 0, got {edges}")
     return edges * edges
+
+
+def plain_sum(values: Iterable):
+    """Sum of values added left to right, from the integer 0.
+
+    Builtin ``sum`` compensates float rounding from Python 3.12, so it
+    would make the program's output depend on the interpreter; this is
+    the uncompensated sum that every supported Python gives.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 def task_duration(task: TaskSpec) -> Fraction:

@@ -14,7 +14,7 @@ import math
 import random
 from typing import Optional, Sequence, Tuple
 
-from .model import InvalidScenarioError, MachineModel, Object, Scenario
+from .model import InvalidScenarioError, MachineModel, Object, Scenario, plain_sum
 
 BUS_EDGES_PER_CONDUCTOR = 7026
 BUS_ITERATIONS = {5: 66, 10: 74, 20: 85, 40: 96, 80: 109, 160: 124, 250: 135}
@@ -105,11 +105,11 @@ def gen_interposer() -> Scenario:
     raw = [INTERPOSER_CAGE_SHARE] + [
         lo + (hi - lo) * i / 127 for i in range(128)
     ]
-    total = sum(raw)
+    total = plain_sum(raw)
     fractions = [f / total for f in raw]
     roots = [math.sqrt(f) for f in fractions]
 
-    scale = INTERPOSER_TOTAL_EDGES / sum(roots)
+    scale = INTERPOSER_TOTAL_EDGES / plain_sum(roots)
     edges = [round(r * scale) for r in roots]
     for _ in range(64):
         got = sum(edges)

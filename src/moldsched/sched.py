@@ -44,12 +44,21 @@ ORACLE_MAX_PROCS = 6
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    """A built schedule plus its makespan and final processor counts."""
+    """A built schedule plus its makespan and final processor counts.
+
+    ``restricted`` is true when the approximate-square cutoff bound:
+    some step of ``part_schedule`` grew a task by d > 1, the step at
+    which the loop stopped included (its d is charged to the budget
+    before the stop test).  When it is false, the same tasks at cutoff
+    ``None`` take the same steps and give an equal result.  ``lpt_schedule``
+    takes no steps, so its results read false.
+    """
 
     schedule: Schedule
     c_max: Fraction
     procs_per_task: Tuple[int, ...]
     iterations_taken: int
+    restricted: bool
 
 
 def lpt_bound(procs: int) -> Fraction:
@@ -71,6 +80,11 @@ def ideal_length(tasks: Sequence[TaskSpec], procs: int) -> Fraction:
     if procs < 1:
         raise InvalidTaskError(f"procs must be >= 1, got {procs}")
     return Fraction(sum(t.workload for t in tasks), procs)
+
+
+def normalized_length(c_max: Fraction, ideal: Fraction) -> float:
+    """c_max over the ideal length; 0.0 when the ideal length is 0 (no work)."""
+    return float(c_max / ideal) if ideal > 0 else 0.0
 
 
 def is_approx_square(p: int) -> bool:
@@ -248,6 +262,7 @@ def lpt_schedule(
         c_max=Fraction(top, denom),
         procs_per_task=tuple(pi),
         iterations_taken=0,
+        restricted=False,
     )
 
 
@@ -284,7 +299,8 @@ def part_schedule(
     always), recovering the original algorithm.  The returned schedule is
     the shortest one encountered; rebuilds that merely tie the current
     length keep the search going but never replace the best schedule, so
-    chains of equal-length tasks still end up parallelized.
+    chains of equal-length tasks still end up parallelized.  The result's
+    ``restricted`` says whether the cutoff ever changed a step.
     """
     if not tasks:
         raise InvalidTaskError("part_schedule needs a nonempty task list")
@@ -355,6 +371,7 @@ def part_schedule(
     best_pi = list(pi)
 
     iterations = 0
+    restricted = False
     while budget > 0:
         iterations += 1
         i = longest()
@@ -362,6 +379,7 @@ def part_schedule(
             d = 1
         else:
             d = next_approx_square_increment(pi[i])
+            restricted = restricted or d > 1
         budget -= d + 1 if pi[i] == 1 else d
         # stop when c_max is no longer the longest task's W_i/P_i
         if cur_top * pi[i] != workloads[i] * cur_den or budget < 0:
@@ -388,6 +406,7 @@ def part_schedule(
         c_max=Fraction(top, den),
         procs_per_task=tuple(best_pi),
         iterations_taken=iterations,
+        restricted=restricted,
     )
 
 

@@ -24,9 +24,10 @@ from .model import (
     PartitionMap,
     Scenario,
     TaskSpec,
+    plain_sum,
 )
 from .partition import assign_task_lists, partition_external, redistribution_cost
-from .sched import ScheduleResult, ideal_length, part_schedule
+from .sched import ScheduleResult, ideal_length, normalized_length, part_schedule
 
 
 class StrategyKind(Enum):
@@ -68,11 +69,12 @@ class SimReport:
 
 @dataclass(frozen=True, eq=False)
 class StrategyRun:
-    """SimReport plus the normalized length and the schedule it was computed from."""
+    """SimReport plus the normalized length, and the schedule and partition it came from."""
 
     report: SimReport
     c_max_norm: float
     schedule_result: Optional[ScheduleResult]
+    partition: PartitionMap
 
 
 def grid_factors(p: int) -> Tuple[int, int]:
@@ -181,7 +183,7 @@ def _simultaneity_schedule(
 def _idle_fraction(makespan: float, busy: Sequence, procs: int) -> float:
     if procs == 0 or makespan <= 0:
         return 0.0
-    return float(sum((makespan - b) / makespan for b in busy) / procs)
+    return float(plain_sum((makespan - b) / makespan for b in busy) / procs)
 
 
 def internal_makespan_no_redist(
@@ -224,16 +226,27 @@ def _schedule_seconds(
         t.object_id: _dense_seconds(t.workload, k, machine)
         for t, k in zip(tasks, result.procs_per_task)
     }
-    busy = [sum(seconds_of[tid] for tid in row) for row in result.schedule.rows]
+    busy = [plain_sum(seconds_of[tid] for tid in row) for row in result.schedule.rows]
     makespan = max(busy) if busy else 0.0
     return makespan, _idle_fraction(makespan, busy, len(busy))
 
 
-def run_strategy(scenario: Scenario, strategy: StrategyKind, procs: int) -> StrategyRun:
-    """Simulate one solver configuration and keep the schedule it built."""
+def run_strategy(
+    scenario: Scenario,
+    strategy: StrategyKind,
+    procs: int,
+    partition: Optional[PartitionMap] = None,
+) -> StrategyRun:
+    """Simulate one solver configuration and keep the schedule and partition it used.
+
+    ``partition`` is the external partition of ``scenario.objects`` onto
+    ``procs`` processes, as an earlier run at the same P returned it;
+    when it is None it is built here.
+    """
     tasks = scenario.tasks()
     machine = scenario.machine
-    partition = partition_external(scenario.objects, procs)
+    if partition is None:
+        partition = partition_external(scenario.objects, procs)
     external = external_phase_time(partition, machine)
     ideal = ideal_length(tasks, procs)
 
@@ -257,8 +270,12 @@ def run_strategy(scenario: Scenario, strategy: StrategyKind, procs: int) -> Stra
         idle_fraction=idle,
         comm=comm,
     )
-    c_max_norm = float(c_max_wu / ideal) if ideal > 0 else 0.0
-    return StrategyRun(report=report, c_max_norm=c_max_norm, schedule_result=schedule_result)
+    return StrategyRun(
+        report=report,
+        c_max_norm=normalized_length(c_max_wu, ideal),
+        schedule_result=schedule_result,
+        partition=partition,
+    )
 
 
 def simulate(scenario: Scenario, strategy: StrategyKind, procs: int) -> SimReport:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moldsched as ms
-from moldsched.cli import main, scenario_from_json, scenario_to_json
+from moldsched.cli import SWEEP_COLUMNS, main, scenario_from_json, scenario_to_json
+from moldsched.sim import StrategyKind, run_strategy
 
 
 def run_cli(capsys, *argv):
@@ -155,10 +157,14 @@ def test_non_contiguous_object_ids_exit_3(ids, tmp_path, capsys):
 def test_all_zero_edge_scenario_runs_every_command(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_text('{"name": "z", "objects": [{"id": 0, "edges": 0}, {"id": 1, "edges": 0}]}\n')
+    outs = {}
     for command in ("schedule", "simulate", "sweep"):
-        code, out, err = run_cli(capsys, command, str(path), "--procs", "4")
+        code, outs[command], err = run_cli(capsys, command, str(path), "--procs", "4")
         assert (code, err) == (0, ""), command
-    assert out.splitlines()[1:] == [
+    # no work: the normalized length is 0.0 in every subcommand
+    assert "normalized_length 0.0" in outs["schedule"].splitlines()
+    assert "c_max_norm 0.0" in outs["simulate"].splitlines()
+    assert outs["sweep"].splitlines()[1:] == [
         f"4,{s},0.0,0.0,0.0,0.0,0.0,0,0,0.0,0.0" for s in ("any-pi", "no-redist", "proposed")
     ]
 
@@ -319,6 +325,113 @@ class TestSweep:
         run_cli(capsys, "gen", "bus", "--pairs", "2", "-o", str(path))
         code, out, _ = run_cli(capsys, "sweep", str(path), "--procs", procs)
         assert (code, out) == (1, "")
+
+
+def reference_sweep(scenario, procs, keys):
+    """The sweep CSV built from one ``run_strategy`` call per (P, strategy) cell.
+
+    Kept as the reference for the sweep that shares the partition per P
+    and ``proposed``'s run with ``any-pi``.
+    """
+    runs = {(p, k): run_strategy(scenario, StrategyKind.from_key(k), p)
+            for p in procs for k in keys}
+    p_min = min(procs)
+    lines = [",".join(SWEEP_COLUMNS)]
+    for (p, k), run in sorted(runs.items()):
+        r = run.report
+        t_ref = runs[(p_min, k)].report.t_matvec_avg * p_min / p
+        lines.append(
+            f"{p},{k},{r.t_gen!r},{r.t_matvec_avg!r},{r.t_iter_avg!r},"
+            f"{r.internal_makespan!r},{r.idle_fraction!r},{r.comm[0]},{r.comm[1]},"
+            f"{run.c_max_norm!r},{t_ref!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def restricted_at(scenario, procs):
+    """Whether ``proposed``'s cutoff bound, for each P."""
+    tasks = scenario.tasks()
+    return [ms.part_schedule(tasks, p, scenario.cutoff).restricted for p in procs]
+
+
+ALL_KEYS = ("proposed", "any-pi", "no-redist")
+
+
+class TestSharedSweep:
+    """``sweep`` computes each cell once and prints what per-cell runs print."""
+
+    def check(self, scenario, procs, keys, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(scenario_to_json(scenario))
+        scenario = scenario_from_json(path.read_text())
+        spec = f"{procs.start}:{procs.stop - 1}:{procs.step}"
+        code, out, err = run_cli(capsys, "sweep", str(path), "--procs", spec,
+                                 "--strategies", ",".join(keys))
+        assert (code, err) == (0, "")
+        assert out == reference_sweep(scenario, list(procs), keys)
+
+    def test_srr_and_bus_share_every_any_pi_cell(self, srr, tmp_path, capsys):
+        for scenario, procs in ((srr, range(20, 1001, 490)), (ms.gen_bus(40), range(20, 1001, 490))):
+            assert not any(restricted_at(scenario, procs))
+            self.check(scenario, procs, ALL_KEYS, tmp_path, capsys)
+
+    def test_interposer_where_the_cutoff_binds(self, interposer, tmp_path, capsys):
+        procs = range(40, 641, 300)
+        assert all(restricted_at(interposer, procs))
+        self.check(interposer, procs, ALL_KEYS, tmp_path, capsys)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_files_with_zero_edge_objects(self, seed, tmp_path, capsys):
+        scenario = ms.gen_random(60, (0, 6), seed)
+        assert any(o.edges == 0 for o in scenario.objects)
+        self.check(scenario, range(1, 41, 13), ALL_KEYS, tmp_path, capsys)
+
+    def test_random_file_where_the_cutoff_binds_at_some_p(self, tmp_path, capsys):
+        scenario = ms.gen_random(4, (40, 400), 3)
+        procs = range(2, 60, 4)
+        assert len(set(restricted_at(scenario, procs))) == 2
+        self.check(scenario, procs, ALL_KEYS, tmp_path, capsys)
+
+    @pytest.mark.parametrize("keys", [("any-pi",), ("any-pi", "proposed"), ("no-redist", "any-pi")])
+    def test_strategy_subsets_in_any_order(self, keys, srr, interposer, tmp_path, capsys):
+        self.check(srr, range(20, 1001, 980), keys, tmp_path, capsys)
+        self.check(interposer, range(40, 641, 600), keys, tmp_path, capsys)
+
+    def test_one_partition_and_one_schedule_per_p(self, srr, tmp_path, capsys, monkeypatch):
+        calls = {"partition_external": 0, "part_schedule": 0}
+        for name in calls:
+            fn = getattr(ms.sim, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(ms.sim, name, counted)
+        path = tmp_path / "srr.json"
+        path.write_text(scenario_to_json(srr))
+        code, _, _ = run_cli(capsys, "sweep", str(path), "--procs", "20:1000:980",
+                             "--strategies", "no-redist,any-pi,proposed")
+        assert code == 0
+        # two P; any-pi reuses proposed at both, since the cutoff never binds on SRR,
+        # though the list names any-pi first
+        assert calls == {"partition_external": 2, "part_schedule": 2}
+
+
+# sha256 of the sweep CSV, all strategies, as recorded before the sweep shared
+# its cells; every supported Python must print these bytes
+GOLDEN_SWEEPS = {
+    ("srr", "20:1000:980"): "b9b6c7c66cf7efe31e18648d614c41bf5e2750858bf6e05b56dc2cd32d87ec81",
+    ("interposer", "40:640:120"): "c90403310196956e16162c3b5356ed5d1181ec4ebb0505a1139e98142fbea467",
+}
+
+
+@pytest.mark.parametrize("kind, procs", sorted(GOLDEN_SWEEPS))
+def test_golden_sweep_digests(kind, procs, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    assert run_cli(capsys, "gen", kind, "-o", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, "sweep", str(path), "--procs", procs)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SWEEPS[(kind, procs)]
 
 
 def test_console_entry_point():

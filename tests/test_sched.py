@@ -389,6 +389,76 @@ def test_property_part_schedule_matches_reference(workloads, spare, cutoff):
     assert_matches_reference(make_tasks(workloads), procs, cutoff)
 
 
+def assert_results_equal(a, b):
+    assert (a.c_max, a.procs_per_task, a.iterations_taken, a.restricted) == (
+        b.c_max, b.procs_per_task, b.iterations_taken, b.restricted)
+    assert a.schedule.rows == b.schedule.rows
+    assert a.schedule.proc_assignment == b.schedule.proc_assignment
+    assert a.schedule.start_times == b.schedule.start_times
+    assert a.schedule.finish_times == b.schedule.finish_times
+
+
+class TestRestricted:
+    def test_cutoff_step_of_one_does_not_restrict(self):
+        # at the cutoff, 1 -> 2 is a step of d = 1, the same as unlimited
+        result = ms.part_schedule(make_tasks([100]), 2, cutoff=1)
+        assert result.procs_per_task == (2,) and not result.restricted
+        assert_results_equal(result, ms.part_schedule(make_tasks([100]), 2, None))
+
+    def test_the_stopping_step_counts(self):
+        # 2 -> 4 overdraws the budget and stops the loop: restricted, and
+        # unlimited (2 -> 3) goes on to a different result
+        result = ms.part_schedule(make_tasks([100]), 3, cutoff=2)
+        assert result.procs_per_task == (2,) and result.restricted
+        assert ms.part_schedule(make_tasks([100]), 3, None).procs_per_task == (3,)
+
+    def test_unlimited_and_lpt_never_restricted(self, interposer):
+        tasks = interposer.tasks()
+        assert ms.part_schedule(tasks, 160, interposer.cutoff).restricted
+        assert not ms.part_schedule(tasks, 160, None).restricted
+        assert not ms.lpt_schedule(tasks, 160).restricted
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    workloads=WORKLOAD_RUNS,
+    spare=st.integers(-63, 63),
+    cutoff=st.sampled_from([1, 2, 20]),
+)
+def test_property_unrestricted_result_equals_unlimited(workloads, spare, cutoff):
+    procs = min(64, max(1, len(workloads) + spare))
+    tasks = make_tasks(workloads)
+    result = ms.part_schedule(tasks, procs, cutoff)
+    if not result.restricted:
+        assert_results_equal(result, ms.part_schedule(tasks, procs, None))
+
+
+# within the oracle's guard; small workloads keep its search short
+SMALL_INSTANCES = st.tuples(
+    st.lists(st.integers(1, 12), min_size=1, max_size=ms.sched.ORACLE_MAX_TASKS),
+    st.integers(2, ms.sched.ORACLE_MAX_PROCS),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=SMALL_INSTANCES)
+def test_property_lpt_within_its_bound(instance):
+    workloads, procs = instance
+    tasks = make_tasks(workloads)
+    optimal = ms.oracle_optimal(tasks, procs)
+    assert ms.lpt_schedule(tasks, procs).c_max <= ms.lpt_bound(procs) * optimal
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=SMALL_INSTANCES)
+def test_property_part_schedule_within_its_bound(instance):
+    workloads, procs = instance
+    tasks = make_tasks(workloads)
+    bound = ms.part_bound(procs) * ms.oracle_optimal(tasks, procs, moldable=True)
+    for cutoff in (None, 2, 20):
+        assert ms.part_schedule(tasks, procs, cutoff).c_max <= bound
+
+
 def reference_lpt_placement(tasks, procs, seeds=None):
     """LPT with the P_i fixed, one task per step on ``Fraction`` finish times.
 

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 import moldsched as ms
 from moldsched.sim import (
     StrategyKind,
+    _idle_fraction,
     _no_redist_work_units,
+    _schedule_seconds,
     _simultaneity_schedule,
     run_strategy,
 )
@@ -318,6 +320,36 @@ def test_property_simultaneity_schedule_matches_reference(case):
     assert_schedule_matches_reference(groups, workloads, durations, procs)
     seconds = [d / 3 for d in durations]
     assert_schedule_matches_reference(groups, workloads, seconds, procs)
+
+
+def in_order_sum(values):
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+class TestPlainSums:
+    """Float sums are added left to right, the same on every supported Python."""
+
+    def test_plain_sum_is_not_compensated(self):
+        values = [1e16, 1.0, 1.0]
+        assert math.fsum(values) == 1e16 + 2  # what builtin sum gives from Python 3.12
+        assert ms.model.plain_sum(values) == in_order_sum(values) == 1e16
+
+    def test_idle_fraction(self):
+        # idle shares 1, 2**-53 and 2**-53: each small one is half an ulp of 1.0
+        busy = [0.0, 1.0 - 2.0**-53, 1.0 - 2.0**-53]
+        shares = [(1.0 - b) / 1.0 for b in busy]
+        assert in_order_sum(shares) != math.fsum(shares)
+        assert _idle_fraction(1.0, busy, 3) == in_order_sum(shares) / 3
+
+    def test_schedule_seconds(self):
+        machine = ms.MachineModel(t_work=1.0, gamma_grid=0.0)
+        tasks = [ms.TaskSpec(0, 10**16), ms.TaskSpec(1, 1), ms.TaskSpec(2, 1)]
+        result = ms.lpt_schedule(tasks, 1)
+        assert result.schedule.rows == ((0, 1, 2),)
+        assert _schedule_seconds(result, tasks, machine) == (1e16, 0.0)
 
 
 class TestSimulate:
