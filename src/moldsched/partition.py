@@ -176,6 +176,16 @@ def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAs
     return TaskListAssignment(process_to_row=tuple(process_to_row), overlap=tuple(achieved))
 
 
+def _even_split(pieces: Pieces, group: List[int]) -> Dict[int, int]:
+    """Process -> edges: the object's edges split evenly and contiguously over ``group``.
+
+    ``group`` is in ascending process id; the first processes take one
+    edge more when the split is uneven.
+    """
+    base, rem = divmod(sum(e for _, e in pieces), len(group))
+    return {p: base + 1 if idx < rem else base for idx, p in enumerate(group)}
+
+
 def destined_shares(
     schedule: Schedule, assignment: TaskListAssignment, partition: PartitionMap
 ) -> Dict[int, Dict[int, int]]:
@@ -186,13 +196,10 @@ def destined_shares(
     contain the task), in ascending process id.
     """
     row_owner = assignment.row_to_process()
-
-    shares: Dict[int, Dict[int, int]] = {}
-    for tid, rows in schedule.proc_assignment.items():
-        group = sorted(row_owner[r] for r in rows)
-        base, rem = divmod(sum(e for _, e in partition.pieces[tid]), len(group))
-        shares[tid] = {p: base + 1 if idx < rem else base for idx, p in enumerate(group)}
-    return shares
+    return {
+        tid: _even_split(partition.pieces[tid], sorted(row_owner[r] for r in rows))
+        for tid, rows in schedule.proc_assignment.items()
+    }
 
 
 def redistribution_cost(
@@ -208,12 +215,28 @@ def redistribution_cost(
     surplus, matched in ascending process id.  Returns
     (edges_moved, messages, alpha_msg*messages + beta_edge*edges_moved);
     messages never exceeds P*(P-1).
+
+    A sequential task runs on one process p, which needs the whole
+    object: every piece (q, e) with q != p sends its e edges to p, so
+    it is priced straight from the pieces.  A parallel task's processes
+    take the even split of ``destined_shares``, and surpluses and
+    deficits are matched.
     """
+    row_owner = assignment.row_to_process()
     edges_moved = 0
     pairs = set()
-    for tid, share_of in destined_shares(schedule, assignment, partition).items():
-        diff = dict(partition.pieces[tid])
-        for p, v in share_of.items():
+    for tid, rows in schedule.proc_assignment.items():
+        pieces = partition.pieces[tid]
+        if len(rows) == 1:
+            (r,) = rows
+            p = row_owner[r]
+            for q, e in pieces:
+                if q != p:
+                    edges_moved += e
+                    pairs.add((q, p))
+            continue
+        diff = dict(pieces)
+        for p, v in _even_split(pieces, sorted(row_owner[r] for r in rows)).items():
             diff[p] = diff.get(p, 0) - v
         held = sorted(diff.items())
         deficits = [(p, -d) for p, d in held if d < 0]

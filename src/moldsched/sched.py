@@ -11,7 +11,10 @@ It needs only the makespan of each rebuilt schedule.  It skips the
 rebuild when the makespan is the longest task's duration: when the idle
 processors are at least as many as the sequential tasks (each then runs
 alone from time zero), or when Graham's list-scheduling bound proves it.
-Otherwise it computes the makespan from buckets of equal finish times.
+Otherwise it computes the makespan from buckets of equal finish times:
+it keeps the parallel tasks as a multiset of (W_i, P_i) classes, one
+bucket per class, so a rebuild costs O(classes + runs of equal
+sequential workloads), not O(tasks).
 It places the tasks once, for the best processor counts found, in the
 LPT placement pass that ``lpt_schedule`` also runs: one pass builds the
 rows and the processor groups and gives the makespan.  A built schedule
@@ -25,9 +28,9 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby, islice
 from math import isqrt, lcm
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .model import (
     InfeasibleParallelSetError,
@@ -52,6 +55,13 @@ class ScheduleResult:
     before the stop test).  When it is false, the same tasks at cutoff
     ``None`` take the same steps and give an equal result.  ``lpt_schedule``
     takes no steps, so its results read false.
+
+    ``stop_reason`` says why ``part_schedule``'s loop ended: "budget"
+    (no processor left at the loop head), "not-longest" (c_max was no
+    longer the longest task's duration), "overdraw" (the step's d would
+    overdraw the budget) or "worse" (the rebuilt schedule was strictly
+    longer).  A step that is both not-longest and an overdraw reads
+    "not-longest".  ``lpt_schedule`` results read "none".
     """
 
     schedule: Schedule
@@ -59,6 +69,7 @@ class ScheduleResult:
     procs_per_task: Tuple[int, ...]
     iterations_taken: int
     restricted: bool
+    stop_reason: str
 
 
 def lpt_bound(procs: int) -> Fraction:
@@ -170,28 +181,32 @@ def _lpt_place(
 
 
 def _lpt_makespan(
-    parallel: Sequence[Tuple[int, int]],
-    runs: Iterable[Tuple[int, int]],
+    classes: Mapping[Tuple[int, int], int],
+    runs: Sequence[Tuple[int, int]],
+    r: int,
+    first: int,
     procs: int,
 ) -> Tuple[int, int]:
     """Makespan of an LPT pass, without the placements, as (top, denom).
 
-    ``parallel`` gives (W_i, P_i) of the parallel tasks, and ``runs`` the
-    sequential tasks in LPT order as (W, m): m tasks of equal workload W.
-    Processors with equal finish times are interchangeable, so the heap
-    holds (F, count) buckets of them.  A run takes the least-F bucket
-    whole, or splits it, exactly where m single placements would put its
-    tasks, in one heap step per bucket.  The makespan is top / denom,
-    with denom the lcm of the P_i.
+    ``classes`` counts the parallel tasks per (W_i, P_i) class.  The
+    sequential tasks, in LPT order, are ``first`` tasks of ``runs[r]``
+    and then ``runs[r + 1:]``; a run (W, m) is m tasks of equal workload
+    W.  Processors with equal finish times are interchangeable, so the
+    heap holds (F, count) buckets of them: one per class, (W * denom / P,
+    count * P), and one for the idle processors.  A run takes the least-F
+    bucket whole, or splits it, exactly where m single placements would
+    put its tasks, in one heap step per bucket.  A call costs O(classes +
+    runs), however many tasks the classes hold.  The makespan is top /
+    denom, with denom the lcm of the distinct P_i.
     """
-    denom = lcm(*(k for _, k in parallel))
-    buckets = [(w * (denom // k), k) for w, k in parallel]
-    idle = procs - sum(k for _, k in parallel)
+    denom = lcm(*(k for _, k in classes))
+    buckets = [(w * (denom // k), c * k) for (w, k), c in classes.items()]
+    idle = procs - sum(c for _, c in buckets)
     if idle:
         buckets.append((0, idle))
-    top = max(f for f, _ in buckets)
     heapq.heapify(buckets)
-    for w, m in runs:
+    for w, m in chain(((runs[r][0], first),), islice(runs, r + 1, None)):
         s = w * denom
         while m:
             f, c = buckets[0]
@@ -202,8 +217,8 @@ def _lpt_makespan(
             else:
                 heapq.heapreplace(buckets, (f + s, c))
                 m -= c
-            top = max(top, f + s)
-    return top, denom
+    # finish times only grow, so the last ones hold the largest
+    return max(buckets)[0], denom
 
 
 def _check_inputs(tasks: Sequence[TaskSpec], procs: int) -> None:
@@ -263,6 +278,7 @@ def lpt_schedule(
         procs_per_task=tuple(pi),
         iterations_taken=0,
         restricted=False,
+        stop_reason="none",
     )
 
 
@@ -300,7 +316,14 @@ def part_schedule(
     the shortest one encountered; rebuilds that merely tie the current
     length keep the search going but never replace the best schedule, so
     chains of equal-length tasks still end up parallelized.  The result's
-    ``restricted`` says whether the cutoff ever changed a step.
+    ``restricted`` says whether the cutoff ever changed a step, and its
+    ``stop_reason`` which test ended the loop.
+
+    The parallel tasks are always the longest-first prefix of the
+    sequential LPT order, and the loop keeps them both in a heap, for
+    the longest task, and as a multiset of (W_i, P_i) classes, for the
+    rebuild's makespan: a step adds one class entry or moves one to
+    another class.
     """
     if not tasks:
         raise InvalidTaskError("part_schedule needs a nonempty task list")
@@ -337,6 +360,8 @@ def part_schedule(
 
     # parallel tasks, longest first; the longest sequential task is order[k]
     parallel: List[_Longer] = []
+    # the same tasks as a multiset: (W_i, P_i) -> count
+    classes: Dict[Tuple[int, int], int] = {}
 
     def longest() -> int:
         """Task with the longest current duration, ties to the lowest id."""
@@ -362,8 +387,7 @@ def part_schedule(
         if n - k <= budget or reach[k] * pi[j] <= procs * workloads[j]:
             return workloads[j], pi[j]
         r = bisect_right(ends, k)
-        sequential = [(runs[r][0], ends[r] - k)] + runs[r + 1:]
-        return _lpt_makespan([(workloads[i], pi[i]) for i in order[:k]], sequential, procs)
+        return _lpt_makespan(classes, runs, r, ends[r] - k, procs)
 
     # makespans are (numerator, denominator) pairs, compared cross-multiplied
     cur_top, cur_den = makespan()
@@ -372,27 +396,39 @@ def part_schedule(
 
     iterations = 0
     restricted = False
+    stop_reason = "budget"
     while budget > 0:
         iterations += 1
         i = longest()
-        if cutoff is None or pi[i] < cutoff:
+        w, p = workloads[i], pi[i]
+        if cutoff is None or p < cutoff:
             d = 1
         else:
-            d = next_approx_square_increment(pi[i])
+            d = next_approx_square_increment(p)
             restricted = restricted or d > 1
-        budget -= d + 1 if pi[i] == 1 else d
+        budget -= d + 1 if p == 1 else d
         # stop when c_max is no longer the longest task's W_i/P_i
-        if cur_top * pi[i] != workloads[i] * cur_den or budget < 0:
+        if cur_top * p != w * cur_den:
+            stop_reason = "not-longest"
             break
-        entry = _Longer(workloads[i], pi[i] + d, ids[i], i)
-        if pi[i] == 1:
+        if budget < 0:
+            stop_reason = "overdraw"
+            break
+        entry = _Longer(w, p + d, ids[i], i)
+        if p == 1:
             k += 1
             heapq.heappush(parallel, entry)
         else:
             heapq.heapreplace(parallel, entry)
-        pi[i] += d
+            if classes[w, p] == 1:
+                del classes[w, p]
+            else:
+                classes[w, p] -= 1
+        classes[w, p + d] = classes.get((w, p + d), 0) + 1
+        pi[i] = p + d
         top, den = makespan()
         if top * cur_den > cur_top * den:
+            stop_reason = "worse"
             break
         cur_top, cur_den = top, den
         if top * best_den < best_top * den:
@@ -407,6 +443,7 @@ def part_schedule(
         procs_per_task=tuple(best_pi),
         iterations_taken=iterations,
         restricted=restricted,
+        stop_reason=stop_reason,
     )
 
 

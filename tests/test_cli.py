@@ -417,18 +417,27 @@ class TestSharedSweep:
         assert calls == {"partition_external": 2, "part_schedule": 2}
 
 
-# sha256 of the sweep CSV, all strategies, as recorded before the sweep shared
-# its cells; every supported Python must print these bytes
+# sha256 of the sweep CSV, all strategies; every supported Python must print
+# these bytes.  The srr and interposer digests were recorded before the sweep
+# shared its cells, the bus and random ones before Part_Schedule's makespan
+# took a bucket per (W, P) class.
 GOLDEN_SWEEPS = {
     ("srr", "20:1000:980"): "b9b6c7c66cf7efe31e18648d614c41bf5e2750858bf6e05b56dc2cd32d87ec81",
     ("interposer", "40:640:120"): "c90403310196956e16162c3b5356ed5d1181ec4ebb0505a1139e98142fbea467",
+    ("bus", "20:1000:60"): "d8467c12102470577c19231677027429c318768c71a49abe00f8af02f9218f22",
+    # unequal sizes: every (W, P) class holds one task
+    ("random", "40:1000:120"): "6a5d08b124855d8f676cda36e7bcef76d9a0df0691db4c06e0560a9675cec49e",
+}
+GOLDEN_GEN_ARGS = {
+    "bus": ("--pairs", "40"),
+    "random": ("--objects", "300", "--edges", "50:1500", "--seed", "3"),
 }
 
 
 @pytest.mark.parametrize("kind, procs", sorted(GOLDEN_SWEEPS))
 def test_golden_sweep_digests(kind, procs, tmp_path, capsys):
     path = tmp_path / f"{kind}.json"
-    assert run_cli(capsys, "gen", kind, "-o", str(path))[0] == 0
+    assert run_cli(capsys, "gen", kind, *GOLDEN_GEN_ARGS.get(kind, ()), "-o", str(path))[0] == 0
     code, out, _ = run_cli(capsys, "sweep", str(path), "--procs", procs)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SWEEPS[(kind, procs)]

@@ -314,6 +314,65 @@ class TestRedistribution:
             assert moved >= 0
 
 
+def assert_cost_matches_reference(process_to_row, schedule, part, expected=None):
+    """Cost of a given row placement, against the dense reference and, if given, by hand."""
+    machine = ms.MachineModel(alpha_msg=1e-6, beta_edge=1e-9)
+    assignment = TaskListAssignment(process_to_row=process_to_row, overlap=(0,) * len(process_to_row))
+    cost = ms.redistribution_cost(assignment, schedule, part, machine)
+    assert cost == reference_redistribution_cost(assignment, schedule, part, machine)
+    if expected is not None:
+        assert cost[:2] == expected
+
+
+class TestSequentialRedistribution:
+    """A sequential task's row process needs its whole object."""
+
+    def test_split_object_none_on_the_row_process(self):
+        # object 0 lies on processes 0-2; its row lands on process 3
+        schedule = ms.lpt_schedule([ms.TaskSpec(0, 30)], 4).schedule
+        part = ms.PartitionMap(owned=np.array([[10], [12], [8], [0]]))
+        assert_cost_matches_reference((1, 2, 3, 0), schedule, part, (30, 3))
+
+    def test_row_process_owns_the_whole_object(self):
+        schedule = ms.lpt_schedule([ms.TaskSpec(0, 30)], 4).schedule
+        part = ms.PartitionMap(owned=np.array([[0], [30], [0], [0]]))
+        assert_cost_matches_reference((1, 0, 2, 3), schedule, part, (0, 0))
+
+    def test_zero_edge_object(self):
+        # object 0 has no edges and moves nothing, wherever its row lands
+        schedule = two_row_schedule([2, 1])
+        part = ms.PartitionMap(owned=np.array([[0, 5], [0, 0]]))
+        assert part.pieces[0] == ()
+        assert_cost_matches_reference((0, 1), schedule, part, (5, 1))
+        assert_cost_matches_reference((1, 0), schedule, part, (0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edges=st.lists(st.integers(1000, 1999), min_size=1, max_size=4),
+    spare=st.integers(0, 40),
+    data=st.data(),
+)
+def test_property_sequential_tasks_on_split_objects(edges, spare, data):
+    # with at least 2 processes per object and no object under half the
+    # largest, every object is above the per-process target, so it is split
+    procs = 2 * len(edges) + spare
+    part = ms.partition_external(objects_of(edges), procs)
+    assert all(len(pieces) > 1 for pieces in part.pieces)
+    # sequential tasks, and sometimes parallel ones, on any row placement
+    budget, tasks = procs, []
+    for tid, e in enumerate(edges):
+        k = data.draw(st.integers(1, procs))
+        if 1 < k <= budget and data.draw(st.booleans()):
+            budget -= k
+        else:
+            k = 1
+        tasks.append(ms.TaskSpec(tid, e * e, k))
+    schedule = ms.lpt_schedule(tasks, procs).schedule
+    process_to_row = tuple(data.draw(st.permutations(range(procs))))
+    assert_cost_matches_reference(process_to_row, schedule, part)
+
+
 HAND_BUILT = (
     ([2, 1], [[100, 10], [10, 100]]),
     ([2, 1], [[100, 90], [95, 5]]),

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import moldsched as ms
@@ -233,7 +233,7 @@ def reference_part_schedule(tasks, procs, cutoff):
 
     The straightforward form of the scheduler's loop, kept as the
     reference that ``part_schedule`` must reproduce.  Returns (c_max,
-    P_i per task, iterations, rows).
+    P_i per task, iterations, rows, stop reason).
     """
     ids = [t.object_id for t in tasks]
     workloads = [t.workload for t in tasks]
@@ -266,6 +266,7 @@ def reference_part_schedule(tasks, procs, cutoff):
     best = (cur_cmax, tuple(pi), rows)
     budget = procs
     iterations = 0
+    stop_reason = "budget"
     while budget > 0:
         iterations += 1
         i = 0
@@ -278,22 +279,25 @@ def reference_part_schedule(tasks, procs, cutoff):
         d = 1 if cutoff is None or pi[i] < cutoff else ms.next_approx_square_increment(pi[i])
         budget -= d + 1 if pi[i] == 1 else d
         if cur_cmax != h or budget < 0:
+            stop_reason = "not-longest" if cur_cmax != h else "overdraw"
             break
         pi[i] += d
         new_cmax, rows = lpt_pass()
         if new_cmax > cur_cmax:
+            stop_reason = "worse"
             break
         cur_cmax = new_cmax
         if new_cmax < best[0]:
             best = (new_cmax, tuple(pi), rows)
     c_max, best_pi, best_rows = best
-    return c_max, best_pi, iterations, best_rows
+    return c_max, best_pi, iterations, best_rows, stop_reason
 
 
 def assert_matches_reference(tasks, procs, cutoff):
     result = ms.part_schedule(tasks, procs, cutoff)
-    c_max, pi, iterations, rows = reference_part_schedule(tasks, procs, cutoff)
+    c_max, pi, iterations, rows, stop_reason = reference_part_schedule(tasks, procs, cutoff)
     assert result.c_max == c_max, (procs, cutoff)
+    assert result.stop_reason == stop_reason, (procs, cutoff)
     assert result.procs_per_task == pi, (procs, cutoff)
     assert result.iterations_taken == iterations, (procs, cutoff)
     assert result.schedule.rows == rows, (procs, cutoff)
@@ -332,6 +336,107 @@ class TestFastPathEquivalence:
         check_schedule(result.schedule, tasks, 4)
         assert result.procs_per_task == (2, 1, 1)
         assert result.c_max == 2 * w
+
+
+class TestStopReason:
+    def test_budget_spent_at_the_loop_head(self):
+        # 1 -> 2 spends both processors; the loop head finds none left
+        result = ms.part_schedule(make_tasks([100]), 2, None)
+        assert (result.procs_per_task, result.stop_reason) == ((2,), "budget")
+
+    def test_not_longest(self):
+        # on 3 processors task 0 (8/3) no longer sets c_max (4): a sequential 2 + 2 does
+        result = ms.part_schedule(make_tasks([8, 2, 2]), 4, None)
+        assert (result.procs_per_task, result.c_max) == ((2, 1, 1), 4)
+        assert result.iterations_taken == 3 and result.stop_reason == "not-longest"
+
+    def test_overdraw(self):
+        # 2 -> 4 would need two processors, one is left
+        result = ms.part_schedule(make_tasks([100]), 3, cutoff=2)
+        assert (result.procs_per_task, result.stop_reason) == ((2,), "overdraw")
+
+    def test_worse(self):
+        # 2 -> 3 leaves no idle processor: the 2s follow 8/3, and 14/3 > 4
+        result = ms.part_schedule(make_tasks([8, 2, 2]), 3, None)
+        assert (result.procs_per_task, result.c_max) == ((2, 1, 1), 4)
+        assert result.iterations_taken == 2 and result.stop_reason == "worse"
+
+    def test_not_longest_wins_over_an_overdraw(self):
+        # on one processor c_max is 10, not 5, and 1 -> 2 overdraws the budget
+        result = ms.part_schedule(make_tasks([5, 5]), 1, None)
+        assert (result.iterations_taken, result.stop_reason) == (1, "not-longest")
+
+    def test_lpt_takes_no_steps(self):
+        assert ms.lpt_schedule(make_tasks([5, 5]), 1).stop_reason == "none"
+
+
+def reference_lpt_makespan(parallel, runs, procs):
+    """Makespan of an LPT pass, without the placements, as (top, denom).
+
+    ``parallel`` gives (W_i, P_i) of the parallel tasks, and ``runs`` the
+    sequential tasks in LPT order as (W, m): m tasks of equal workload W.
+    Processors with equal finish times are interchangeable, so the heap
+    holds (F, count) buckets of them.  A run takes the least-F bucket
+    whole, or splits it, exactly where m single placements would put its
+    tasks, in one heap step per bucket.  The makespan is top / denom,
+    with denom the lcm of the P_i.
+
+    The form with one bucket per parallel task, kept as the reference for
+    the one that takes a bucket per (W_i, P_i) class.
+    """
+    denom = lcm(*(k for _, k in parallel))
+    buckets = [(w * (denom // k), k) for w, k in parallel]
+    idle = procs - sum(k for _, k in parallel)
+    if idle:
+        buckets.append((0, idle))
+    top = max(f for f, _ in buckets)
+    heapq.heapify(buckets)
+    for w, m in runs:
+        s = w * denom
+        while m:
+            f, c = buckets[0]
+            if c > m:
+                heapq.heapreplace(buckets, (f, c - m))
+                heapq.heappush(buckets, (f + s, m))
+                m = 0
+            else:
+                heapq.heapreplace(buckets, (f + s, c))
+                m -= c
+            top = max(top, f + s)
+    return top, denom
+
+
+@st.composite
+def makespan_cases(draw):
+    """(W, P) classes of one or more tasks, zero workloads included, and
+    sequential runs in LPT order, on as few processors as they need or more."""
+    classes = {}
+    for w, k, count in draw(st.lists(st.tuples(
+            st.sampled_from([0, 6, 12, 30, 35, 60]), st.integers(2, 6), st.integers(1, 4)),
+            max_size=5)):
+        classes[w, k] = classes.get((w, k), 0) + count
+    idle = draw(st.one_of(st.just(0), st.integers(0, 12)))
+    procs = max(1, sum(k * c for (_, k), c in classes.items()) + idle)
+    workloads = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=5)), reverse=True)
+    runs = [(w, draw(st.integers(1, 25))) for w in workloads]
+    r = draw(st.integers(0, len(runs) - 1))  # r = len(runs) - 1: no run after the first
+    first = draw(st.integers(0, runs[r][1]))
+    return classes, runs, r, first, procs
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=makespan_cases())
+# three tasks of one class make one bucket of 6 processors; the run of 4 splits it
+@example(case=({(10, 2): 3}, [(1, 4)], 0, 4, 6))
+# a zero-workload class beside the idle processors, runs after the first
+@example(case=({(0, 3): 2, (12, 4): 1}, [(5, 2), (3, 9)], 0, 1, 12))
+# no idle processors, and no sequential task at all
+@example(case=({(30, 2): 2, (35, 5): 1}, [(7, 3)], 0, 0, 9))
+def test_property_class_makespan_matches_reference(case):
+    classes, runs, r, first, procs = case
+    parallel = [wk for wk, count in classes.items() for _ in range(count)]
+    expected = reference_lpt_makespan(parallel, [(runs[r][0], first)] + runs[r + 1:], procs)
+    assert ms.sched._lpt_makespan(classes, runs, r, first, procs) == expected
 
 
 # runs of equal values, zeros included, so LPT ties and equal-duration buckets occur
@@ -390,8 +495,8 @@ def test_property_part_schedule_matches_reference(workloads, spare, cutoff):
 
 
 def assert_results_equal(a, b):
-    assert (a.c_max, a.procs_per_task, a.iterations_taken, a.restricted) == (
-        b.c_max, b.procs_per_task, b.iterations_taken, b.restricted)
+    assert (a.c_max, a.procs_per_task, a.iterations_taken, a.restricted, a.stop_reason) == (
+        b.c_max, b.procs_per_task, b.iterations_taken, b.restricted, b.stop_reason)
     assert a.schedule.rows == b.schedule.rows
     assert a.schedule.proc_assignment == b.schedule.proc_assignment
     assert a.schedule.start_times == b.schedule.start_times
