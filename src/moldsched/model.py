@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, groupby
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -102,6 +103,102 @@ def task_duration(task: TaskSpec) -> Fraction:
 def tasks_from_objects(objects: Sequence[Object]) -> Tuple[TaskSpec, ...]:
     """One sequential task per object, workload = edges squared."""
     return tuple(TaskSpec(o.id, estimate_workload(o.edges), 1) for o in objects)
+
+
+class _PerTuple:
+    """Facts of one sequence of objects or tasks that no processor count changes.
+
+    ``of(items)`` returns them.  Each fact is a cached property, computed
+    when first read, and shared by every caller: read it, never change
+    it.  The facts of the last tuple each subclass was asked about are
+    kept, with a strong reference to that tuple (so its id is never
+    reused while kept), and every P of a sweep reads the same ones.
+    Objects and tasks are frozen, so a tuple of them never changes; a
+    list may, so its facts are never kept.
+    """
+
+    _last: Optional["_PerTuple"] = None
+
+    def __init__(self, items: Sequence):
+        self.items = items
+
+    @classmethod
+    def of(cls, items: Sequence):
+        last = cls._last
+        if last is not None and last.items is items:
+            return last
+        facts = cls(items)
+        if isinstance(items, tuple):
+            cls._last = facts
+        return facts
+
+
+class ObjectOrders(_PerTuple):
+    """Edge total and size orders of objects whose ids are the indices 0..N-1."""
+
+    def __init__(self, objects: Sequence[Object]):
+        if sorted(o.id for o in objects) != list(range(len(objects))):
+            raise InvalidScenarioError("object ids must be the indices 0..N-1")
+        super().__init__(objects)
+
+    @cached_property
+    def total(self) -> int:
+        return sum(o.edges for o in self.items)
+
+    @cached_property
+    def by_size(self) -> List[Tuple[int, int]]:
+        """(id, edges) of the objects with edges, in descending edges, then id."""
+        return sorted(((o.id, o.edges) for o in self.items if o.edges > 0),
+                      key=lambda ie: (-ie[1], ie[0]))
+
+    @cached_property
+    def live_ids(self) -> List[int]:
+        """Ids of the objects with edges, in the objects' order."""
+        return [o.id for o in self.items if o.edges > 0]
+
+    @cached_property
+    def workloads(self) -> List[int]:
+        """Workload (edges squared) of each object with edges, in the objects' order."""
+        return [o.edges * o.edges for o in self.items if o.edges > 0]
+
+    @cached_property
+    def by_workload(self) -> List[int]:
+        """Positions in ``workloads``: descending workload, then ascending position."""
+        # stable under reverse=True
+        return sorted(range(len(self.workloads)), key=self.workloads.__getitem__, reverse=True)
+
+
+class TaskOrders(_PerTuple):
+    """Workload total and LPT order of a task list, and its runs of equal workloads."""
+
+    @cached_property
+    def total(self) -> int:
+        return sum(t.workload for t in self.items)
+
+    @cached_property
+    def ids(self) -> List[int]:
+        return [t.object_id for t in self.items]
+
+    @cached_property
+    def workloads(self) -> List[int]:
+        return [t.workload for t in self.items]
+
+    @cached_property
+    def order(self) -> List[int]:
+        """Task positions in descending workload, then ascending id."""
+        ids, workloads = self.ids, self.workloads
+        return sorted(range(len(workloads)), key=lambda i: (-workloads[i], ids[i]))
+
+    @cached_property
+    def runs(self) -> List[Tuple[int, int]]:
+        """Runs of equal workloads along ``order``, as (W, count)."""
+        workloads = self.workloads
+        return [(w, len(list(g))) for w, g in groupby(workloads[i] for i in self.order)]
+
+    @cached_property
+    def ends(self) -> List[int]:
+        """Position in ``order`` just past each run."""
+        return list(accumulate(m for _, m in self.runs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,15 +421,23 @@ class PartitionMap:
         ``objects`` are the partitioned objects; both lists follow their
         order.  The object's task is its whole workload (edges squared) on
         its owners, so P_i is the group's length, as when the task runs
-        where its mesh already is.  The last result is kept with its
-        objects, so repeated reads for the same objects build it once.
+        where its mesh already is.
+
+        Which objects have edges, and their workloads, do not depend on
+        the partition: they are read from ``ObjectOrders``, once per
+        objects tuple, and every partition returns the same workloads
+        list.  Only the groups are built per partition, and the last
+        result is kept with its objects tuple, so repeated reads for the
+        same tuple build them once.
         """
-        if self._owner_tasks is None or self._owner_tasks[0] is not objects:
-            live = [o for o in objects if o.edges > 0]
-            groups = [[p for p, _ in self.pieces[o.id]] for o in live]
-            workloads = [o.edges * o.edges for o in live]
-            object.__setattr__(self, "_owner_tasks", (objects, groups, workloads))
-        return self._owner_tasks[1], self._owner_tasks[2]
+        memo = self._owner_tasks
+        if memo is not None and memo[0] is objects:
+            return memo[1], memo[2]
+        orders = ObjectOrders.of(objects)
+        groups = [[p for p, _ in self.pieces[i]] for i in orders.live_ids]
+        if isinstance(objects, tuple):
+            object.__setattr__(self, "_owner_tasks", (objects, groups, orders.workloads))
+        return groups, orders.workloads
 
 
 @dataclass(frozen=True)

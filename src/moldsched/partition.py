@@ -20,6 +20,7 @@ from .model import (
     InvalidScenarioError,
     MachineModel,
     Object,
+    ObjectOrders,
     PartitionMap,
     Pieces,
     Schedule,
@@ -51,35 +52,37 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     Each object's pieces sum to its edge count exactly, and no process
     ends up with more than twice the target, or more than one edge when
     the target is below half an edge.
+
+    The check that the ids are 0..N-1, the edge total and the size order
+    (zero-edge objects left out) do not depend on P: they come from
+    ``ObjectOrders``, computed once per objects tuple, so a sweep sorts
+    its objects once.  A list of objects is checked and sorted per call.
     """
     if procs < 1:
         raise InvalidScenarioError(f"procs must be >= 1, got {procs}")
-    if sorted(o.id for o in objects) != list(range(len(objects))):
-        raise InvalidScenarioError("object ids must be the indices 0..N-1")
-    total = sum(o.edges for o in objects)
+    orders = ObjectOrders.of(objects)
+    total = orders.total
 
     pieces: List[Pieces] = [()] * len(objects)
 
     # (load, process id) min-heap, one entry per process
     heap: List[Tuple[int, int]] = [(0, p) for p in range(procs)]
 
-    for obj in sorted(objects, key=lambda o: (-o.edges, o.id)):
-        if obj.edges == 0:
-            continue
-        if obj.edges * procs <= total:  # edges <= target
+    for i, edges in orders.by_size:
+        if edges * procs <= total:  # edges <= target
             load, p = heap[0]
-            pieces[obj.id] = ((p, obj.edges),)
-            heapq.heapreplace(heap, (load + obj.edges, p))
+            pieces[i] = ((p, edges),)
+            heapq.heapreplace(heap, (load + edges, p))
             continue
-        k = -(-obj.edges * procs // total)  # ceil(edges / target)
-        k = min(k, obj.edges, procs)
-        base, rem = divmod(obj.edges, k)
+        k = -(-edges * procs // total)  # ceil(edges / target)
+        k = min(k, edges, procs)
+        base, rem = divmod(edges, k)
         takers = [heapq.heappop(heap) for _ in range(k)]
         chunks = [(p, base + 1 if idx < rem else base) for idx, (_, p) in enumerate(takers)]
         for (load, _), (p, chunk) in zip(takers, chunks):
             heapq.heappush(heap, (load + chunk, p))
         # the takers are distinct: none is pushed back before all k are popped
-        pieces[obj.id] = tuple(sorted(chunks))
+        pieces[i] = tuple(sorted(chunks))
 
     return PartitionMap(n_procs=procs, pieces=tuple(pieces))
 

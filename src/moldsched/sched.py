@@ -28,7 +28,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, groupby, islice
+from itertools import chain, islice
 from math import isqrt, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -37,6 +37,7 @@ from .model import (
     InstanceTooLargeError,
     InvalidTaskError,
     Schedule,
+    TaskOrders,
     TaskSpec,
     UndefinedBoundError,
 )
@@ -87,10 +88,13 @@ def part_bound(procs: int) -> Fraction:
 
 
 def ideal_length(tasks: Sequence[TaskSpec], procs: int) -> Fraction:
-    """Length of a perfectly balanced schedule, sum(W_i)/P."""
+    """Length of a perfectly balanced schedule, sum(W_i)/P.
+
+    The sum is taken once per task tuple (``TaskOrders``).
+    """
     if procs < 1:
         raise InvalidTaskError(f"procs must be >= 1, got {procs}")
-    return Fraction(sum(t.workload for t in tasks), procs)
+    return Fraction(TaskOrders.of(tasks).total, procs)
 
 
 def normalized_length(c_max: Fraction, ideal: Fraction) -> float:
@@ -331,16 +335,17 @@ def part_schedule(
     if cutoff is not None and cutoff < 1:
         raise InvalidTaskError(f"cutoff must be >= 1 or None, got {cutoff}")
 
-    ids = [t.object_id for t in tasks]
-    workloads = [t.workload for t in tasks]
-    n = len(tasks)
-    pi = [1] * n
-
     # A sequential task's duration is its workload, so LPT order over the
     # sequential tasks never changes, and the task that first turns
     # parallel is always the first sequential one: the parallel tasks are
-    # the prefix order[:k].
-    order = sorted(range(n), key=lambda i: (-workloads[i], ids[i]))
+    # the prefix order[:k].  The order and its runs of equal workloads
+    # depend on the tasks only, so they are built once per task tuple.
+    orders = TaskOrders.of(tasks)
+    ids, workloads, order = orders.ids, orders.workloads, orders.order
+    # runs of equal workloads in ``order``: (W, count), ending at ends[r]
+    runs, ends = orders.runs, orders.ends
+    n = len(tasks)
+    pi = [1] * n
     k = 0
 
     # Graham: sequential task j finishes by (W_par + prefix_j)/P + W_j, and
@@ -353,10 +358,6 @@ def part_schedule(
         ahead += workloads[i]
     for pos in range(n - 2, -1, -1):
         reach[pos] = max(reach[pos], reach[pos + 1])
-
-    # runs of equal workloads in ``order``: (W, count), ending at ends[r]
-    runs = [(w, len(list(g))) for w, g in groupby(workloads[i] for i in order)]
-    ends = list(accumulate(m for _, m in runs))
 
     # parallel tasks, longest first; the longest sequential task is order[k]
     parallel: List[_Longer] = []

@@ -21,6 +21,7 @@ from .model import (
     InvalidTaskError,
     MachineModel,
     Object,
+    ObjectOrders,
     PartitionMap,
     Scenario,
     TaskSpec,
@@ -121,12 +122,14 @@ def _simultaneity_schedule(
     workloads: Sequence[int],
     durations: Sequence,
     procs: int,
+    by_workload: Sequence[int],
 ):
     """Greedy list schedule where each task's whole group starts together.
 
     Repeatedly starts the task whose group is ready earliest (ties: larger
     workload, then lower index) at that ready time.  Returns (makespan,
     per-processor busy time); works for float or integer durations.
+    ``by_workload`` lists the indices in (-W, index) order.
 
     The single-owner tasks of one process share its ready time, so they
     start in (-W, index) order.  A process in no multi-process group runs
@@ -147,8 +150,7 @@ def _simultaneity_schedule(
             for p in g:
                 shared[p] = True
     queues = [[] for _ in range(procs)]
-    # stable under reverse=True: descending W, then ascending index
-    for i in sorted(range(len(groups)), key=workloads.__getitem__, reverse=True):
+    for i in by_workload:
         g = groups[i]
         if len(g) == 1:
             p = g[0]
@@ -194,12 +196,17 @@ def internal_makespan_no_redist(
     Each object's task executes on exactly the processes owning its
     external-problem partitions, all starting simultaneously, so tasks
     sharing a process block each other.  Zero-edge objects carry no work
-    and are skipped.
+    and are skipped.  A whole object's task takes t_work * W seconds, the
+    float ``_dense_seconds(W, 1, machine)`` gives.
     """
     procs = partition.n_procs
     groups, workloads = partition.owner_tasks(objects)
-    durations = [_dense_seconds(w, len(g), machine) for g, w in zip(groups, workloads)]
-    makespan, busy = _simultaneity_schedule(groups, workloads, durations, procs)
+    t_work = machine.t_work
+    durations = [t_work * w if len(g) == 1 else _dense_seconds(w, len(g), machine)
+                 for g, w in zip(groups, workloads)]
+    makespan, busy = _simultaneity_schedule(
+        groups, workloads, durations, procs, ObjectOrders.of(objects).by_workload
+    )
     return float(makespan), _idle_fraction(float(makespan), busy, procs)
 
 
@@ -209,12 +216,17 @@ def _no_redist_work_units(
     """Work-unit makespan of the owner-group schedule (for normalized lengths).
 
     Durations W_i / P_i are scaled by the lcm L of the group sizes, so the
-    schedule runs on integers and its makespan is exact over L.
+    schedule runs on integers and its makespan is exact over L.  When no
+    object is split, L is 1 and the durations are the workloads.
     """
     groups, workloads = partition.owner_tasks(objects)
-    scale = math.lcm(*(len(g) for g in groups))
-    durations = [w * (scale // len(g)) for g, w in zip(groups, workloads)]
-    makespan, _ = _simultaneity_schedule(groups, workloads, durations, partition.n_procs)
+    scale = math.lcm(*map(len, groups))
+    durations = workloads
+    if scale > 1:
+        durations = [w * (scale // len(g)) for g, w in zip(groups, workloads)]
+    makespan, _ = _simultaneity_schedule(
+        groups, workloads, durations, partition.n_procs, ObjectOrders.of(objects).by_workload
+    )
     return Fraction(makespan, scale)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moldsched as ms
+from moldsched.model import ObjectOrders
 from moldsched.partition import TaskListAssignment, destined_shares
 
 
@@ -175,6 +176,48 @@ class TestPartitionExternal:
     def test_noncontiguous_ids_rejected(self):
         with pytest.raises(ms.InvalidScenarioError):
             ms.partition_external([ms.Object(1, 5), ms.Object(3, 5)], 2)
+
+
+def assert_partition_matches_reference(objects, procs):
+    part = ms.partition_external(objects, procs)
+    ref = reference_partition_external(objects, procs)
+    assert (part.n_procs, part.pieces) == (ref.n_procs, ref.pieces)
+    assert part.loads() == ref.owned.sum(axis=1).tolist()
+
+
+class TestSizeOrderPerObjectsTuple:
+    """The id check, edge total and size order are kept for the last objects tuple."""
+
+    def test_alternating_scenarios(self, srr):
+        shuffled = list(srr.objects)
+        random.Random(1).shuffle(shuffled)
+        scenarios = (srr.objects, ms.gen_random(40, (0, 50), 2).objects, tuple(shuffled))
+        for objects in scenarios * 2:
+            for procs in (3, 60, 1000):
+                assert_partition_matches_reference(objects, procs)
+
+    def test_list_changed_in_place_is_not_stale(self):
+        objs = objects_of([5, 0, 9, 9, 2])
+        assert_partition_matches_reference(objs, 4)
+        objs[1] = ms.Object(1, 30)
+        objs.reverse()
+        assert_partition_matches_reference(objs, 4)
+        del objs[-1]  # id 0
+        with pytest.raises(ms.InvalidScenarioError):
+            ms.partition_external(objs, 4)
+
+    def test_kept_for_tuples_only(self):
+        objs = objects_of([3, 0, 4])
+        kept = tuple(objs)
+        assert ObjectOrders.of(kept) is ObjectOrders.of(kept)
+        assert ObjectOrders.of(objs) is not ObjectOrders.of(objs)
+        assert ObjectOrders.of(kept).by_size == [(2, 4), (0, 3)]
+
+    def test_bad_ids_raise_every_time(self):
+        for objects in ((ms.Object(1, 5), ms.Object(3, 5)), (ms.Object(0, 5), ms.Object(0, 5))):
+            for _ in range(2):
+                with pytest.raises(ms.InvalidScenarioError):
+                    ms.partition_external(objects, 2)
 
 
 def two_row_schedule(workloads):

@@ -323,6 +323,20 @@ class TestFastPathEquivalence:
                 for cutoff in (20, None):
                     assert_matches_reference(tasks, procs, cutoff)
 
+    def test_task_orders_per_tuple(self, interposer, srr):
+        # the LPT order and its runs are kept for the last task tuple only;
+        # listed out of id order, equal workloads still go longest-first by id
+        shuffled = tuple(random.Random(5).sample(srr.tasks(), len(srr.tasks())))
+        for tasks in (interposer.tasks(), srr.tasks(), shuffled) * 2:
+            assert_matches_reference(tasks, 100, 20)
+        tasks = make_tasks([5, 9, 9, 2, 7])
+        assert_matches_reference(tasks, 3, None)
+        assert ms.ideal_length(tasks, 2) == 16
+        tasks[1] = ms.TaskSpec(1, 1)
+        tasks.reverse()
+        assert_matches_reference(tasks, 3, None)
+        assert ms.ideal_length(tasks, 2) == Fraction(24, 2)
+
     def test_parallel_ties_go_to_the_lowest_id(self):
         # parallel tasks of equal W/P but different P_i: growing the
         # higher id first overdraws the budget one iteration early

@@ -1,5 +1,6 @@
 import heapq
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -224,8 +225,62 @@ class TestOwnerGroups:
         assert part.owner_tasks(objs[::-1]) == (groups[::-1], workloads[::-1])
 
 
+def reference_no_redist_seconds(objects, partition, machine):
+    """Float makespan and idle fraction of the owner-group schedule, from the one-heap reference."""
+    groups, tasks = [], []
+    for obj in objects:
+        if obj.edges == 0:
+            continue
+        g = [int(p) for p in np.nonzero(partition.owned[:, obj.id] > 0)[0]]
+        groups.append(g)
+        tasks.append(ms.TaskSpec(obj.id, obj.edges * obj.edges, len(g)))
+    durations = [ms.dense_task_time(t, machine) for t in tasks]
+    makespan, busy = reference_simultaneity_schedule(groups, tasks, durations, partition.n_procs)
+    return float(makespan), _idle_fraction(float(makespan), busy, partition.n_procs)
+
+
+def assert_no_redist_matches_references(objects, procs, machine):
+    part = ms.partition_external(objects, procs)
+    got = ms.internal_makespan_no_redist(objects, part, machine)
+    assert got == reference_no_redist_seconds(objects, part, machine)
+    assert _no_redist_work_units(objects, part) == reference_no_redist_work_units(objects, part)
+
+
+class TestOrdersPerObjectsTuple:
+    """Both no-redist passes read the (-W, position) order kept for the last objects tuple."""
+
+    def test_alternating_scenarios(self, srr):
+        shuffled = list(srr.objects)
+        random.Random(2).shuffle(shuffled)
+        small = ms.gen_random(40, (0, 50), 3)
+        cases = ((srr.objects, (200, 1000)), (tuple(shuffled), (200, 1000)),
+                 (small.objects, (3, 17, 60)))
+        for objects, procs_list in cases * 2:
+            for procs in procs_list:
+                assert_no_redist_matches_references(objects, procs, srr.machine)
+
+    def test_list_changed_in_place_is_not_stale(self):
+        machine = ms.MachineModel(t_work=1.0, gamma_grid=0.5)
+        objs = list(ms.gen_random(30, (0, 40), 4).objects)
+        for procs in (7, 40):
+            assert_no_redist_matches_references(objs, procs, machine)
+        part = ms.partition_external(objs, 40)
+        groups, workloads = part.owner_tasks(objs)
+        objs.reverse()
+        assert part.owner_tasks(objs) == (groups[::-1], workloads[::-1])
+        objs[3] = ms.Object(objs[3].id, 300)
+        random.Random(4).shuffle(objs)
+        for procs in (7, 40):
+            assert_no_redist_matches_references(objs, procs, machine)
+
+
+def by_workload(workloads):
+    """Indices in descending workload, then ascending index."""
+    return sorted(range(len(workloads)), key=lambda i: (-workloads[i], i))
+
+
 def assert_schedule_matches_reference(groups, workloads, durations, procs):
-    got = _simultaneity_schedule(groups, workloads, durations, procs)
+    got = _simultaneity_schedule(groups, workloads, durations, procs, by_workload(workloads))
     tasks = [ms.TaskSpec(i, w, len(g)) for i, (g, w) in enumerate(zip(groups, workloads))]
     assert got == reference_simultaneity_schedule(groups, tasks, durations, procs)
 
@@ -273,7 +328,8 @@ class TestSimultaneitySchedule:
         workloads = [2, 9, 5, 2, 3]
         durations = [1.0, 1e16, 4.0, 1.0, 2.0]
         assert_schedule_matches_reference(groups, workloads, durations, 3)
-        makespan, busy = _simultaneity_schedule(groups, workloads, durations, 3)
+        makespan, busy = _simultaneity_schedule(
+            groups, workloads, durations, 3, by_workload(workloads))
         assert makespan == busy[0] == 1e16
         assert busy[1:] == [6.0, 4.0]
 
