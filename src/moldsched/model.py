@@ -366,12 +366,25 @@ class PartitionMap:
     object has none.  ``PartitionMap(owned=M)`` builds the map from a dense
     (process, object) matrix instead, and ``owned`` gives that matrix back.
     Only these two dense forms import numpy.
+
+    ``loads``, when given, are the edges each process owns, summed from
+    the same pieces (the partitioner has them when it ends); otherwise
+    they are summed from the pieces when first read.  The no-redist
+    simulation keeps its owner-group plan of the last objects tuple here
+    too (``moldsched.sim``), so the plan is freed with its partition.
     """
 
     n_procs: int
     pieces: Tuple[Pieces, ...]
 
-    def __init__(self, owned=None, *, n_procs: int = 0, pieces: Tuple[Pieces, ...] = ()):
+    def __init__(
+        self,
+        owned=None,
+        *,
+        n_procs: int = 0,
+        pieces: Tuple[Pieces, ...] = (),
+        loads: Optional[List[int]] = None,
+    ):
         if owned is not None:
             import numpy as np
 
@@ -386,14 +399,20 @@ class PartitionMap:
             )
         object.__setattr__(self, "n_procs", n_procs)
         object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "_owner_tasks", None)
+        object.__setattr__(self, "_owner_plan", None)
+        if loads is not None:
+            object.__setattr__(self, "_loads", loads)
 
     @property
     def n_objects(self) -> int:
         return len(self.pieces)
 
     def loads(self) -> List[int]:
-        """Edges owned per process."""
+        """Edges owned per process, as a new list."""
+        return list(self._loads)
+
+    @cached_property
+    def _loads(self) -> List[int]:
         loads = [0] * self.n_procs
         for pieces in self.pieces:
             for p, edges in pieces:
@@ -414,30 +433,6 @@ class PartitionMap:
             for p, edges in pieces:
                 owned[p, i] = edges
         return owned
-
-    def owner_tasks(self, objects: Sequence[Object]) -> Tuple[List[List[int]], List[int]]:
-        """Owning processes and workload of each object with edges.
-
-        ``objects`` are the partitioned objects; both lists follow their
-        order.  The object's task is its whole workload (edges squared) on
-        its owners, so P_i is the group's length, as when the task runs
-        where its mesh already is.
-
-        Which objects have edges, and their workloads, do not depend on
-        the partition: they are read from ``ObjectOrders``, once per
-        objects tuple, and every partition returns the same workloads
-        list.  Only the groups are built per partition, and the last
-        result is kept with its objects tuple, so repeated reads for the
-        same tuple build them once.
-        """
-        memo = self._owner_tasks
-        if memo is not None and memo[0] is objects:
-            return memo[1], memo[2]
-        orders = ObjectOrders.of(objects)
-        groups = [[p for p, _ in self.pieces[i]] for i in orders.live_ids]
-        if isinstance(objects, tuple):
-            object.__setattr__(self, "_owner_tasks", (objects, groups, orders.workloads))
-        return groups, orders.workloads
 
 
 @dataclass(frozen=True)

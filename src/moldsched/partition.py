@@ -57,6 +57,7 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     (zero-edge objects left out) do not depend on P: they come from
     ``ObjectOrders``, computed once per objects tuple, so a sweep sorts
     its objects once.  A list of objects is checked and sorted per call.
+    Each process's load, left in the heap at the end, goes to the map.
     """
     if procs < 1:
         raise InvalidScenarioError(f"procs must be >= 1, got {procs}")
@@ -84,7 +85,10 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
         # the takers are distinct: none is pushed back before all k are popped
         pieces[i] = tuple(sorted(chunks))
 
-    return PartitionMap(n_procs=procs, pieces=tuple(pieces))
+    loads = [0] * procs
+    for load, p in heap:
+        loads[p] = load
+    return PartitionMap(n_procs=procs, pieces=tuple(pieces), loads=loads)
 
 
 def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAssignment:

@@ -140,21 +140,23 @@ def nearest_approx_square(p: int) -> int:
 def _lpt_place(
     tasks: Sequence[TaskSpec],
     pi: Sequence[int],
+    order: Sequence[int],
     procs: int,
     seeds: Optional[Sequence[Fraction]],
 ) -> Tuple[Schedule, Tuple[int, int]]:
     """One LPT pass with the P_i fixed: the Schedule and its makespan as (top, denom).
 
     Durations are scaled by denom, the lcm of the P_i and of the seed
-    denominators, and placed longest first, ties to the lowest id.
-    Parallel tasks take contiguous groups from processor 0; sequential
-    tasks then go to the earliest-finishing processor, ties to the lowest
-    processor id.  So each row holds its parallel task, if any, first.
-    The makespan is top / denom.
+    denominators.  ``order`` lists the task positions longest W_i/P_i
+    first, ties to the lowest id; only the order among the parallel
+    tasks and the order among the sequential tasks are read.  Parallel
+    tasks take contiguous groups from processor 0; sequential tasks then
+    go to the earliest-finishing processor, ties to the lowest processor
+    id.  So each row holds its parallel task, if any, first.  The
+    makespan is top / denom.
     """
     denom = lcm(*pi, *(s.denominator for s in seeds or ()))
     scaled = [t.workload * (denom // k) for t, k in zip(tasks, pi)]
-    order = sorted(range(len(tasks)), key=lambda i: (-scaled[i], tasks[i].object_id))
     fin = [0] * procs if seeds is None else [int(s * denom) for s in seeds]
     rows: List[List[int]] = [[] for _ in range(procs)]
     groups = {}
@@ -275,7 +277,10 @@ def lpt_schedule(
             )
 
     pi = [t.procs for t in tasks]
-    schedule, (top, denom) = _lpt_place(tasks, pi, procs, seeds)
+    scale = lcm(*pi)
+    order = sorted(range(len(tasks)),
+                   key=lambda i: (-tasks[i].workload * (scale // pi[i]), tasks[i].object_id))
+    schedule, (top, denom) = _lpt_place(tasks, pi, order, procs, seeds)
     return ScheduleResult(
         schedule=schedule,
         c_max=Fraction(top, denom),
@@ -393,7 +398,7 @@ def part_schedule(
     # makespans are (numerator, denominator) pairs, compared cross-multiplied
     cur_top, cur_den = makespan()
     best_top, best_den = cur_top, cur_den
-    best_pi = list(pi)
+    best_pi, best_k = list(pi), k
 
     iterations = 0
     restricted = False
@@ -434,10 +439,14 @@ def part_schedule(
         cur_top, cur_den = top, den
         if top * best_den < best_top * den:
             best_top, best_den = top, den
-            best_pi = list(pi)
+            best_pi, best_k = list(pi), k
 
-    # the placement's makespan is best_top / best_den: the same LPT pass
-    schedule, (top, den) = _lpt_place(tasks, best_pi, procs, None)
+    # the placement's makespan is best_top / best_den: the same LPT pass.  Its
+    # sequential tasks are order[best_k:], already longest first; only the
+    # parallel prefix is sorted again, by W_i/P_i.
+    scale = lcm(*(best_pi[i] for i in order[:best_k]))
+    lpt = sorted(order[:best_k], key=lambda i: (-workloads[i] * (scale // best_pi[i]), ids[i]))
+    schedule, (top, den) = _lpt_place(tasks, best_pi, lpt + order[best_k:], procs, None)
     return ScheduleResult(
         schedule=schedule,
         c_max=Fraction(top, den),

@@ -6,6 +6,15 @@ internal-problem phase.  Internal tasks are priced in seconds with a
 2-D process-grid communication penalty, so elongated processor counts
 (primes especially) are expensive, which is exactly what the scheduler's
 approximate-square restriction avoids.
+
+The no-redist baseline runs each object's task on the processes that
+own its pieces (owner-computes).  Its schedule is priced twice per
+cell: in float seconds for the report and in exact work units for the
+normalized length.  Which processes each task blocks, and the order in
+which one process's tasks start, are the same for both, so they are
+read from the pieces once per partition and objects tuple, into an
+``_OwnerPlan`` kept with the partition, and each pass replays it with
+its own durations.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .model import (
     InvalidTaskError,
@@ -117,69 +126,116 @@ def external_phase_time(partition: PartitionMap, machine: MachineModel) -> float
     return machine.t_near * heaviest + fft
 
 
-def _simultaneity_schedule(
-    groups: Sequence[Sequence[int]],
-    workloads: Sequence[int],
-    durations: Sequence,
-    procs: int,
-    by_workload: Sequence[int],
-):
-    """Greedy list schedule where each task's whole group starts together.
+class _OwnerPlan:
+    """The no-redist owner-group schedule of one partition, less its durations.
 
-    Repeatedly starts the task whose group is ready earliest (ties: larger
-    workload, then lower index) at that ready time.  Returns (makespan,
-    per-processor busy time); works for float or integer durations.
-    ``by_workload`` lists the indices in (-W, index) order.
+    Each object with edges is a task on the processes owning its pieces,
+    all of them starting together; positions index the objects with
+    edges, as in ``ObjectOrders.workloads``.  The schedule repeatedly
+    starts the task whose processes are free earliest (ties: larger
+    workload, then lower position).  Which processes a task blocks, and
+    in which order the tasks of one process start, do not depend on the
+    durations, so one walk over the pieces, in (-W, position) order,
+    finds them for both passes:
+
+    - ``split``: (position, processes) of each object on several processes;
+    - ``queues``: each process some split object touches, with the
+      positions of its single-owner tasks;
+    - ``unshared``: every other process with tasks, with their positions.
 
     The single-owner tasks of one process share its ready time, so they
-    start in (-W, index) order.  A process in no multi-process group runs
-    them back to back from 0: its free and busy times are the running sum
-    of their durations, added in that order.  Only the multi-process tasks
-    and the next single-owner task of each shared process wait in the
-    heap; a started single-owner task pushes its successor at the new free
-    time.  Heap keys are lazy: a popped key below its group's ready time
-    is pushed back with the current one.
+    start in (-W, position) order.  An unshared process runs them back to
+    back from 0: its free and busy times are the running sum of their
+    durations, added in that order.  ``starts`` is the initial heap of
+    the shared part: every split task and the first task of each queue.
     """
-    free = [0] * procs
-    busy = [0] * procs
-    shared = [False] * procs
-    heap = []
-    for i, g in enumerate(groups):
-        if len(g) > 1:
-            heap.append((0, -workloads[i], i))
-            for p in g:
-                shared[p] = True
-    queues = [[] for _ in range(procs)]
-    for i in by_workload:
-        g = groups[i]
-        if len(g) == 1:
-            p = g[0]
-            if shared[p]:
-                queues[p].append(i)
+
+    __slots__ = ("procs", "workloads", "split", "queues", "unshared", "starts")
+
+    def __init__(self, objects: Sequence[Object], partition: PartitionMap):
+        orders = ObjectOrders.of(objects)
+        live_ids, pieces = orders.live_ids, partition.pieces
+        self.procs = partition.n_procs
+        self.workloads = workloads = orders.workloads
+        own: List[List[int]] = [[] for _ in range(self.procs)]
+        shared = set()
+        self.split = split = []
+        for i in orders.by_workload:
+            owners = pieces[live_ids[i]]
+            if len(owners) == 1:
+                own[owners[0][0]].append(i)
             else:
-                free[p] += durations[i]
-                busy[p] = free[p]
-    for q in queues:
-        if q:
-            q.reverse()
-            i = q.pop()
-            heap.append((0, -workloads[i], i))
-    heapq.heapify(heap)
-    while heap:
-        ready, negw, i = heapq.heappop(heap)
-        g = groups[i]
-        cur = free[g[0]] if len(g) == 1 else max(free[p] for p in g)
-        if cur != ready:
-            heapq.heappush(heap, (cur, negw, i))
-            continue
-        end = ready + durations[i]
-        for p in g:
-            free[p] = end
-            busy[p] += durations[i]
-        if len(g) == 1 and queues[g[0]]:
-            j = queues[g[0]].pop()
-            heapq.heappush(heap, (end, -workloads[j], j))
-    return max(free, default=0), busy
+                g = [p for p, _ in owners]
+                split.append((i, g))
+                shared.update(g)
+        self.queues = {p: own[p] for p in shared if own[p]}
+        self.unshared = [(p, q) for p, q in enumerate(own) if q and p not in shared]
+        # heap keys (ready, -W, position) are distinct, so the group is never compared
+        starts = [(0, -workloads[i], i, g) for i, g in split]
+        starts += [(0, -workloads[q[0]], q[0], p) for p, q in self.queues.items()]
+        heapq.heapify(starts)
+        self.starts = starts
+
+    @classmethod
+    def of(cls, objects: Sequence[Object], partition: PartitionMap) -> "_OwnerPlan":
+        """The plan of ``partition``, kept with it for the last objects tuple.
+
+        A list of objects may change in place, so its plan is never kept.
+        """
+        memo = partition._owner_plan
+        if memo is not None and memo[0] is objects:
+            return memo[1]
+        plan = cls(objects, partition)
+        if isinstance(objects, tuple):
+            object.__setattr__(partition, "_owner_plan", (objects, plan))
+        return plan
+
+    def replay(self, durations: Sequence):
+        """(makespan, per-process busy time) with these per-position durations.
+
+        Works for float or integer durations.  Only the split tasks and
+        the next queued task of each shared process wait in the heap; a
+        started queued task pushes its successor at the new free time.
+        Heap keys are lazy: a popped key below its processes' ready time
+        is pushed back with the current one.  Each call runs its own heap.
+        """
+        free = [0] * self.procs
+        busy = [0] * self.procs
+        for p, positions in self.unshared:
+            f = 0
+            for i in positions:
+                f += durations[i]
+            free[p] = busy[p] = f
+        workloads, queues = self.workloads, self.queues
+        nxt = dict.fromkeys(queues, 1)
+        heap = self.starts.copy()
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            ready, negw, i, g = pop(heap)
+            if type(g) is int:
+                cur = free[g]
+                if cur != ready:
+                    push(heap, (cur, negw, i, g))
+                    continue
+                d = durations[i]
+                free[g] = end = ready + d
+                busy[g] += d
+                q, k = queues[g], nxt[g]
+                if k < len(q):
+                    nxt[g] = k + 1
+                    j = q[k]
+                    push(heap, (end, -workloads[j], j, g))
+            else:
+                cur = max([free[p] for p in g])
+                if cur != ready:
+                    push(heap, (cur, negw, i, g))
+                    continue
+                d = durations[i]
+                end = ready + d
+                for p in g:
+                    free[p] = end
+                    busy[p] += d
+        return max(free, default=0), busy
 
 
 def _idle_fraction(makespan: float, busy: Sequence, procs: int) -> float:
@@ -197,16 +253,16 @@ def internal_makespan_no_redist(
     external-problem partitions, all starting simultaneously, so tasks
     sharing a process block each other.  Zero-edge objects carry no work
     and are skipped.  A whole object's task takes t_work * W seconds, the
-    float ``_dense_seconds(W, 1, machine)`` gives.
+    float ``_dense_seconds(W, 1, machine)`` gives.  The partition's owner
+    plan is replayed with these durations.
     """
     procs = partition.n_procs
-    groups, workloads = partition.owner_tasks(objects)
+    plan = _OwnerPlan.of(objects, partition)
     t_work = machine.t_work
-    durations = [t_work * w if len(g) == 1 else _dense_seconds(w, len(g), machine)
-                 for g, w in zip(groups, workloads)]
-    makespan, busy = _simultaneity_schedule(
-        groups, workloads, durations, procs, ObjectOrders.of(objects).by_workload
-    )
+    durations = [t_work * w for w in plan.workloads]
+    for i, g in plan.split:
+        durations[i] = _dense_seconds(plan.workloads[i], len(g), machine)
+    makespan, busy = plan.replay(durations)
     return float(makespan), _idle_fraction(float(makespan), busy, procs)
 
 
@@ -217,16 +273,17 @@ def _no_redist_work_units(
 
     Durations W_i / P_i are scaled by the lcm L of the group sizes, so the
     schedule runs on integers and its makespan is exact over L.  When no
-    object is split, L is 1 and the durations are the workloads.
+    object is split, L is 1 and the durations are the workloads.  The
+    partition's owner plan is replayed with these durations.
     """
-    groups, workloads = partition.owner_tasks(objects)
-    scale = math.lcm(*map(len, groups))
-    durations = workloads
+    plan = _OwnerPlan.of(objects, partition)
+    scale = math.lcm(*(len(g) for _, g in plan.split))
+    durations = plan.workloads
     if scale > 1:
-        durations = [w * (scale // len(g)) for g, w in zip(groups, workloads)]
-    makespan, _ = _simultaneity_schedule(
-        groups, workloads, durations, partition.n_procs, ObjectOrders.of(objects).by_workload
-    )
+        durations = [w * scale for w in durations]
+        for i, g in plan.split:
+            durations[i] = plan.workloads[i] * (scale // len(g))
+    makespan, _ = plan.replay(durations)
     return Fraction(makespan, scale)
 
 

@@ -147,6 +147,20 @@ class TestPartitionExternal:
         assert list(part.partition_counts()) == [1] * 4
         assert list(part.loads()) == [100] * 4
 
+    def test_loads_of_split_objects_at_high_p(self):
+        # the partitioner hands its heap's loads to the map; maps built from
+        # the pieces alone sum them, and each call returns a new list
+        objects = ms.gen_random(1500, (50, 1500), 0).objects
+        for procs in (800, 900, 1000):
+            part = ms.partition_external(objects, procs)
+            assert any(len(pieces) > 1 for pieces in part.pieces)
+            assert_partition_matches_reference(objects, procs)
+            rebuilt = ms.PartitionMap(n_procs=procs, pieces=part.pieces)
+            assert rebuilt.loads() == part.loads()
+            loads = part.loads()
+            loads[0] += 1
+            assert part.loads()[0] == loads[0] - 1
+
     def test_single_process_identity(self):
         part = ms.partition_external(objects_of([100]), 1)
         assert part.owned.tolist() == [[100]]

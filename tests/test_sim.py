@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moldsched as ms
+from moldsched.model import ObjectOrders
 from moldsched.sim import (
     StrategyKind,
     _idle_fraction,
     _no_redist_work_units,
+    _OwnerPlan,
     _schedule_seconds,
-    _simultaneity_schedule,
     run_strategy,
 )
 
@@ -210,19 +211,37 @@ class TestNoRedistWorkUnits:
 
 
 class TestOwnerGroups:
+    """The owner-group plan both no-redist passes replay."""
+
     def test_built_once_per_partition(self, srr):
         part = ms.partition_external(srr.objects, 100)
-        groups, workloads = part.owner_tasks(srr.objects)
-        assert part.owner_tasks(srr.objects) == (groups, workloads)
-        assert part.owner_tasks(srr.objects)[1] is workloads
+        plan = _OwnerPlan.of(srr.objects, part)
+        assert _OwnerPlan.of(srr.objects, part) is plan
+        assert plan.workloads is ObjectOrders.of(srr.objects).workloads
+        assert _OwnerPlan.of(list(srr.objects), part) is not plan
+        assert _OwnerPlan.of(srr.objects, ms.partition_external(srr.objects, 100)) is not plan
+
+    def test_split_queued_and_unshared_tasks(self):
+        # p0 holds whole objects only; the object split over p1 and p2 makes
+        # both shared, so p1's whole object waits in its queue; p3 holds nothing
+        objs = (ms.Object(0, 4), ms.Object(1, 6), ms.Object(2, 5), ms.Object(3, 3),
+                ms.Object(4, 0), ms.Object(5, 4))
+        pieces = (((0, 4),), ((1, 3), (2, 3)), ((1, 5),), ((0, 3),), (), ((0, 4),))
+        plan = _OwnerPlan.of(objs, ms.PartitionMap(n_procs=4, pieces=pieces))
+        assert plan.workloads == [16, 36, 25, 9, 16]
+        assert plan.split == [(1, [1, 2])]
+        assert plan.queues == {1: [2]}
+        assert plan.unshared == [(0, [0, 4, 3])]
+        assert sorted(plan.starts) == [(0, -36, 1, [1, 2]), (0, -25, 2, 1)]
 
     def test_follow_the_order_of_the_objects(self):
         objs = [ms.Object(0, 7), ms.Object(1, 0), ms.Object(2, 9)]
         part = ms.PartitionMap(owned=np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
-        groups, workloads = part.owner_tasks(objs)
-        assert groups == [[0, 1, 2], [0, 2]]
-        assert workloads == [49, 81]
-        assert part.owner_tasks(objs[::-1]) == (groups[::-1], workloads[::-1])
+        plan = _OwnerPlan.of(objs, part)
+        assert plan.workloads == [49, 81]
+        assert plan.split == [(1, [0, 2]), (0, [0, 1, 2])]
+        assert (plan.queues, plan.unshared) == ({}, [])
+        assert _OwnerPlan.of(objs[::-1], part).split == [(0, [0, 2]), (1, [0, 1, 2])]
 
 
 def reference_no_redist_seconds(objects, partition, machine):
@@ -239,25 +258,58 @@ def reference_no_redist_seconds(objects, partition, machine):
     return float(makespan), _idle_fraction(float(makespan), busy, partition.n_procs)
 
 
-def assert_no_redist_matches_references(objects, procs, machine):
-    part = ms.partition_external(objects, procs)
+def assert_passes_match_references(objects, part, machine):
     got = ms.internal_makespan_no_redist(objects, part, machine)
     assert got == reference_no_redist_seconds(objects, part, machine)
     assert _no_redist_work_units(objects, part) == reference_no_redist_work_units(objects, part)
+
+
+def assert_no_redist_matches_references(objects, procs, machine):
+    assert_passes_match_references(objects, ms.partition_external(objects, procs), machine)
+
+
+def alternating_cases(srr):
+    """(objects tuple, P values): SRR in id order and shuffled, and a small random file."""
+    shuffled = list(srr.objects)
+    random.Random(2).shuffle(shuffled)
+    small = ms.gen_random(40, (0, 50), 3)
+    return ((srr.objects, (200, 1000)), (tuple(shuffled), (200, 1000)),
+            (small.objects, (3, 17, 60)))
 
 
 class TestOrdersPerObjectsTuple:
     """Both no-redist passes read the (-W, position) order kept for the last objects tuple."""
 
     def test_alternating_scenarios(self, srr):
-        shuffled = list(srr.objects)
-        random.Random(2).shuffle(shuffled)
-        small = ms.gen_random(40, (0, 50), 3)
-        cases = ((srr.objects, (200, 1000)), (tuple(shuffled), (200, 1000)),
-                 (small.objects, (3, 17, 60)))
-        for objects, procs_list in cases * 2:
+        for objects, procs_list in alternating_cases(srr) * 2:
             for procs in procs_list:
                 assert_no_redist_matches_references(objects, procs, srr.machine)
+
+    def test_plan_built_once_per_cell_for_a_tuple(self, srr, monkeypatch):
+        built = []
+        init = _OwnerPlan.__init__
+
+        def counting_init(plan, objects, partition):
+            built.append(objects)
+            init(plan, objects, partition)
+
+        monkeypatch.setattr(_OwnerPlan, "__init__", counting_init)
+        run_strategy(srr, StrategyKind.NO_REDISTRIBUTION, 200)
+        assert len(built) == 1 and built[0] is srr.objects
+        for objects, procs_list in alternating_cases(srr):
+            for procs in procs_list:
+                part = ms.partition_external(objects, procs)
+                built.clear()
+                assert_passes_match_references(objects, part, srr.machine)
+                assert_passes_match_references(objects, part, srr.machine)
+                assert len(built) == 1
+                # a list may change between the passes, so each pass reads it again
+                listed = list(objects)
+                built.clear()
+                assert_passes_match_references(listed, part, srr.machine)
+                listed.reverse()
+                assert_passes_match_references(listed, part, srr.machine)
+                assert len(built) == 4 and all(o is listed for o in built)
 
     def test_list_changed_in_place_is_not_stale(self):
         machine = ms.MachineModel(t_work=1.0, gamma_grid=0.5)
@@ -265,35 +317,49 @@ class TestOrdersPerObjectsTuple:
         for procs in (7, 40):
             assert_no_redist_matches_references(objs, procs, machine)
         part = ms.partition_external(objs, 40)
-        groups, workloads = part.owner_tasks(objs)
+        plan = _OwnerPlan.of(objs, part)
         objs.reverse()
-        assert part.owner_tasks(objs) == (groups[::-1], workloads[::-1])
+        again = _OwnerPlan.of(objs, part)
+        last = len(plan.workloads) - 1
+        assert again.workloads == plan.workloads[::-1]
+        assert dict(again.split) == {last - i: g for i, g in plan.split}
         objs[3] = ms.Object(objs[3].id, 300)
         random.Random(4).shuffle(objs)
         for procs in (7, 40):
             assert_no_redist_matches_references(objs, procs, machine)
 
 
-def by_workload(workloads):
-    """Indices in descending workload, then ascending index."""
-    return sorted(range(len(workloads)), key=lambda i: (-workloads[i], i))
+def owner_groups(objects, partition):
+    """Owning processes of each object with edges, in the objects' order."""
+    return [[p for p, _ in partition.pieces[o.id]] for o in objects if o.edges > 0]
 
 
-def assert_schedule_matches_reference(groups, workloads, durations, procs):
-    got = _simultaneity_schedule(groups, workloads, durations, procs, by_workload(workloads))
-    tasks = [ms.TaskSpec(i, w, len(g)) for i, (g, w) in enumerate(zip(groups, workloads))]
+def assert_schedule_matches_reference(groups, edges, durations, procs):
+    """Replay the plan of objects 0..n-1 (edges > 0), object i on groups[i].
+
+    The plan reads only which processes hold an object's pieces, so each
+    piece is given one edge.
+    """
+    objects = tuple(ms.Object(i, e) for i, e in enumerate(edges))
+    pieces = tuple(tuple((p, 1) for p in g) for g in groups)
+    plan = _OwnerPlan.of(objects, ms.PartitionMap(n_procs=procs, pieces=pieces))
+    got = plan.replay(durations)
+    tasks = [ms.TaskSpec(i, e * e, len(g)) for i, (g, e) in enumerate(zip(groups, edges))]
     assert got == reference_simultaneity_schedule(groups, tasks, durations, procs)
 
 
 def assert_owner_schedules_match(objects, partition, machine):
-    """Both no-redist passes: float seconds and lcm-scaled integer work units."""
-    groups, workloads = partition.owner_tasks(objects)
-    tasks = [ms.TaskSpec(0, w, len(g)) for g, w in zip(groups, workloads)]
+    """The plan replayed with both passes' durations: float seconds and lcm-scaled work units."""
+    plan = _OwnerPlan.of(objects, partition)
+    groups = owner_groups(objects, partition)
+    tasks = [ms.TaskSpec(0, o.edges * o.edges, len(g))
+             for o, g in zip([o for o in objects if o.edges > 0], groups)]
     scale = math.lcm(*(t.procs for t in tasks))
     seconds = [ms.dense_task_time(t, machine) for t in tasks]
     units = [t.workload * (scale // t.procs) for t in tasks]
     for durations in (seconds, units):
-        assert_schedule_matches_reference(groups, workloads, durations, partition.n_procs)
+        got = plan.replay(durations)
+        assert got == reference_simultaneity_schedule(groups, tasks, durations, partition.n_procs)
 
 
 class TestSimultaneitySchedule:
@@ -325,11 +391,14 @@ class TestSimultaneitySchedule:
         # (-W, index) order, 1e16 swallows each 1.0; any other order or a
         # compensated sum gives 1e16 + 2.
         groups = [[0], [0], [1, 2], [0], [1]]
-        workloads = [2, 9, 5, 2, 3]
+        edges = [2, 9, 5, 2, 3]
         durations = [1.0, 1e16, 4.0, 1.0, 2.0]
-        assert_schedule_matches_reference(groups, workloads, durations, 3)
-        makespan, busy = _simultaneity_schedule(
-            groups, workloads, durations, 3, by_workload(workloads))
+        assert_schedule_matches_reference(groups, edges, durations, 3)
+        objects = tuple(ms.Object(i, e) for i, e in enumerate(edges))
+        pieces = tuple(tuple((p, 1) for p in g) for g in groups)
+        plan = _OwnerPlan.of(objects, ms.PartitionMap(n_procs=3, pieces=pieces))
+        assert plan.unshared == [(0, [1, 0, 3])]
+        makespan, busy = plan.replay(durations)
         assert makespan == busy[0] == 1e16
         assert busy[1:] == [6.0, 4.0]
 
@@ -347,12 +416,13 @@ class TestSimultaneitySchedule:
         machine = ms.MachineModel(t_work=0.0, gamma_grid=0.0)
         for procs in (20, 1000):
             part = ms.partition_external(srr.objects, procs)
-            groups, workloads = part.owner_tasks(srr.objects)
-            seconds = [ms.dense_task_time(ms.TaskSpec(0, w, len(g)), machine)
-                       for g, w in zip(groups, workloads)]
+            groups = owner_groups(srr.objects, part)
+            edges = [o.edges for o in srr.objects if o.edges > 0]
+            seconds = [ms.dense_task_time(ms.TaskSpec(0, e * e, len(g)), machine)
+                       for g, e in zip(groups, edges)]
             assert set(seconds) == {0.0}
-            for durations in (seconds, [0] * len(workloads)):
-                assert_schedule_matches_reference(groups, workloads, durations, procs)
+            for durations in (seconds, [0] * len(edges)):
+                assert_schedule_matches_reference(groups, edges, durations, procs)
 
 
 @st.composite
@@ -364,18 +434,18 @@ def owner_schedules(draw):
         st.lists(st.integers(0, procs - 1), min_size=1, max_size=procs, unique=True).map(sorted),
     )
     n = draw(st.integers(0, 40))
-    row = st.tuples(group, st.integers(0, 30), st.integers(0, 20))
+    row = st.tuples(group, st.integers(1, 30), st.integers(0, 20))
     rows = draw(st.lists(row, min_size=n, max_size=n))
-    return [g for g, _, _ in rows], [w for _, w, _ in rows], [d for _, _, d in rows], procs
+    return [g for g, _, _ in rows], [e for _, e, _ in rows], [d for _, _, d in rows], procs
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=owner_schedules())
 def test_property_simultaneity_schedule_matches_reference(case):
-    groups, workloads, durations, procs = case
-    assert_schedule_matches_reference(groups, workloads, durations, procs)
+    groups, edges, durations, procs = case
+    assert_schedule_matches_reference(groups, edges, durations, procs)
     seconds = [d / 3 for d in durations]
-    assert_schedule_matches_reference(groups, workloads, seconds, procs)
+    assert_schedule_matches_reference(groups, edges, seconds, procs)
 
 
 def in_order_sum(values):
