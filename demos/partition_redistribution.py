@@ -10,7 +10,7 @@ import moldsched as ms
 scenario = ms.gen_bus(5)
 for procs in (10, 20, 40):
     partition = ms.partition_external(scenario.objects, procs)
-    loads = partition.loads()
+    loads = partition.loads
     counts = partition.partition_counts()
     result = ms.part_schedule(scenario.tasks(), procs, scenario.cutoff)
     assignment = ms.assign_task_lists(result.schedule, partition)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,7 +58,7 @@ def scenario_to_json(scenario: Scenario) -> str:
         "machine": {k: getattr(scenario.machine, k) for k in _MACHINE_KEYS},
         "cutoff": scenario.cutoff,
         "iterations": scenario.iterations,
-        "grid": list(scenario.grid),
+        "grid": list(scenario.machine.grid),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -106,10 +105,7 @@ def scenario_from_json(text: str) -> Scenario:
     for k, v in coeffs.items():
         if type(v) not in (int, float):
             raise InvalidScenarioError(f"machine coefficient {k} must be a JSON number, got {v!r}")
-    machine = MachineModel(
-        **{k: float(v) for k, v in coeffs.items()},
-        grid_points=math.prod(grid),
-    )
+    machine = MachineModel(**coeffs, grid=grid)
 
     return Scenario(
         name=doc["name"],
@@ -117,7 +113,6 @@ def scenario_from_json(text: str) -> Scenario:
         iterations=_json_int(doc.get("iterations", 1), "iterations"),
         machine=machine,
         cutoff=_json_int(doc.get("cutoff", 20), "cutoff"),
-        grid=grid,
     )
 
 

@@ -357,67 +357,26 @@ def check_schedule(
 Pieces = Tuple[Tuple[int, int], ...]
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class PartitionMap:
     """External-problem mesh ownership, kept per object as sparse pieces.
 
     ``pieces[i]`` lists the (process, edges) pieces of object i in
     ascending process id, one per process holding part of it; a zero-edge
-    object has none.  ``PartitionMap(owned=M)`` builds the map from a dense
-    (process, object) matrix instead, and ``owned`` gives that matrix back.
-    Only these two dense forms import numpy.
-
-    ``loads``, when given, are the edges each process owns, summed from
-    the same pieces (the partitioner has them when it ends); otherwise
-    they are summed from the pieces when first read.  The no-redist
-    simulation keeps its owner-group plan of the last objects tuple here
-    too (``moldsched.sim``), so the plan is freed with its partition.
+    object has none.  ``loads[p]`` is the edges process p owns, summed
+    from the same pieces, one entry per process.
     """
 
-    n_procs: int
     pieces: Tuple[Pieces, ...]
+    loads: Tuple[int, ...]
 
-    def __init__(
-        self,
-        owned=None,
-        *,
-        n_procs: int = 0,
-        pieces: Tuple[Pieces, ...] = (),
-        loads: Optional[List[int]] = None,
-    ):
-        if owned is not None:
-            import numpy as np
-
-            owned = np.asarray(owned)
-            if owned.ndim != 2:
-                raise InvalidScenarioError("owned must be a 2-D (process, object) matrix")
-            if (owned < 0).any():
-                raise InvalidScenarioError("owned entries must be >= 0")
-            n_procs = owned.shape[0]
-            pieces = tuple(
-                tuple((p, e) for p, e in enumerate(column) if e) for column in owned.T.tolist()
-            )
-        object.__setattr__(self, "n_procs", n_procs)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "_owner_plan", None)
-        if loads is not None:
-            object.__setattr__(self, "_loads", loads)
+    @property
+    def n_procs(self) -> int:
+        return len(self.loads)
 
     @property
     def n_objects(self) -> int:
         return len(self.pieces)
-
-    def loads(self) -> List[int]:
-        """Edges owned per process, as a new list."""
-        return list(self._loads)
-
-    @cached_property
-    def _loads(self) -> List[int]:
-        loads = [0] * self.n_procs
-        for pieces in self.pieces:
-            for p, edges in pieces:
-                loads[p] += edges
-        return loads
 
     def partition_counts(self) -> List[int]:
         """Number of processes owning a piece of each object."""
@@ -425,7 +384,11 @@ class PartitionMap:
 
     @cached_property
     def owned(self):
-        """Dense int64 (process, object) matrix: owned[p, i] edges of object i on p."""
+        """Dense int64 (process, object) matrix: owned[p, i] edges of object i on p.
+
+        Kept only for the benchmark's partition check, which reads it; it
+        is the one place the package imports numpy.
+        """
         import numpy as np
 
         owned = np.zeros((self.n_procs, self.n_objects), dtype=np.int64)
@@ -437,7 +400,7 @@ class PartitionMap:
 
 @dataclass(frozen=True)
 class MachineModel:
-    """Cost coefficients converting work units into seconds.
+    """Cost coefficients converting work units into seconds, and the grid shape.
 
     t_work: seconds per work unit of dense internal operations
     t_near: seconds per owned edge of external near-region work
@@ -445,7 +408,11 @@ class MachineModel:
     gamma_grid: seconds per sqrt(work unit) per grid factor, the
         distributed-dense communication penalty
     alpha_msg / beta_edge: per-message / per-edge redistribution costs
-    grid_points: total auxiliary grid size Nx*Ny*Nz
+    grid: the auxiliary grid's factors (Nx, Ny, Nz)
+
+    The coefficients are held as floats.  Each coefficient, and the
+    grid's point count, must be finite as a float: the simulation prices
+    in floats.
     """
 
     t_work: float = 1e-9
@@ -454,26 +421,42 @@ class MachineModel:
     gamma_grid: float = 2e-8
     alpha_msg: float = 1e-6
     beta_edge: float = 1e-9
-    grid_points: int = 0
+    grid: Tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
         for name in ("t_work", "t_near", "t_fft", "gamma_grid", "alpha_msg", "beta_edge"):
-            if not 0 <= getattr(self, name) < math.inf:
+            value = getattr(self, name)
+            if not (value >= 0 and _fits_float(value)):
                 raise InvalidScenarioError(f"machine coefficient {name} must be finite and >= 0")
-        if self.grid_points < 0:
-            raise InvalidScenarioError("grid_points must be >= 0")
+            object.__setattr__(self, name, float(value))
+        if len(self.grid) != 3 or min(self.grid) < 0:
+            raise InvalidScenarioError(f"grid must be three factors >= 0, got {self.grid}")
+        if not _fits_float(self.grid_points):
+            raise InvalidScenarioError("grid has too many points for a float")
+
+    @property
+    def grid_points(self) -> int:
+        """Total auxiliary grid size Nx*Ny*Nz."""
+        return math.prod(self.grid)
+
+
+def _fits_float(value) -> bool:
+    """Whether ``value`` is a finite float, or converts to one."""
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named problem instance: objects, solver iterations, machine, grid shape."""
+    """A named problem instance: objects, solver iterations, machine, cutoff."""
 
     name: str
     objects: Tuple[Object, ...]
     iterations: int = 1
     machine: MachineModel = field(default_factory=MachineModel)
     cutoff: int = 20
-    grid: Tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
         if not self.objects:
@@ -484,10 +467,8 @@ class Scenario:
             raise InvalidScenarioError("iterations must be >= 1")
         if self.cutoff < 1:
             raise InvalidScenarioError("cutoff must be >= 1")
-        if len(self.grid) != 3 or min(self.grid) < 0:
-            raise InvalidScenarioError(f"grid must be three factors >= 0, got {self.grid}")
-        if self.machine.grid_points != math.prod(self.grid):
-            raise InvalidScenarioError(f"machine grid_points != product of grid {self.grid}")
+        if not _fits_float(sum(o.edges * o.edges for o in self.objects)):
+            raise InvalidScenarioError("total workload (edges squared) is too large for a float")
 
     def tasks(self) -> Tuple[TaskSpec, ...]:
         """One sequential task per object, built once per scenario."""

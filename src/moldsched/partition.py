@@ -88,7 +88,7 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     loads = [0] * procs
     for load, p in heap:
         loads[p] = load
-    return PartitionMap(n_procs=procs, pieces=tuple(pieces), loads=loads)
+    return PartitionMap(tuple(pieces), tuple(loads))
 
 
 def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAssignment:

@@ -29,10 +29,6 @@ INTERPOSER_CAGE_SHARE = 0.53
 INTERPOSER_LINE_SHARES = (0.003, 0.0043)
 
 
-def _machine_for_grid(grid: Tuple[int, int, int]) -> MachineModel:
-    return MachineModel(grid_points=grid[0] * grid[1] * grid[2])
-
-
 def gen_bus(pairs: int) -> Scenario:
     """High-speed bus with 2*pairs identical trapezoidal conductors.
 
@@ -46,14 +42,12 @@ def gen_bus(pairs: int) -> Scenario:
     n = 2 * pairs
     objects = tuple(Object(i, BUS_EDGES_PER_CONDUCTOR) for i in range(n))
     nearest = min(BUS_ITERATIONS, key=lambda k: (abs(k - pairs), k))
-    grid = (500, 4 * pairs, 8)
     return Scenario(
         name=f"bus-{pairs}pairs",
         objects=objects,
         iterations=BUS_ITERATIONS[nearest],
-        machine=_machine_for_grid(grid),
+        machine=MachineModel(grid=(500, 4 * pairs, 8)),
         cutoff=20,
-        grid=grid,
     )
 
 
@@ -82,14 +76,12 @@ def gen_srr(class_counts: Optional[Sequence[int]] = None) -> Scenario:
     for count, edges in zip(counts, class_edges):
         offset = len(objects)
         objects.extend(Object(offset + k, edges) for k in range(count))
-    grid = (1000, 1000, 4)
     return Scenario(
         name=f"srr-{counts[0]}-{counts[1]}-{counts[2]}",
         objects=tuple(objects),
         iterations=43,
-        machine=_machine_for_grid(grid),
+        machine=MachineModel(grid=(1000, 1000, 4)),
         cutoff=20,
-        grid=grid,
     )
 
 
@@ -119,14 +111,12 @@ def gen_interposer() -> Scenario:
         edges = [round(r * scale) for r in roots]
 
     objects = tuple(Object(i, e) for i, e in enumerate(edges))
-    grid = (400, 400, 8)
     return Scenario(
         name="interposer",
         objects=objects,
         iterations=76,
-        machine=_machine_for_grid(grid),
+        machine=MachineModel(grid=(400, 400, 8)),
         cutoff=20,
-        grid=grid,
     )
 
 
@@ -139,12 +129,10 @@ def gen_random(n_objects: int, edge_range: Tuple[int, int], seed: int) -> Scenar
         raise InvalidScenarioError(f"edge_range must satisfy 0 <= lo <= hi, got {edge_range}")
     rng = random.Random(seed)
     objects = tuple(Object(i, rng.randint(lo, hi)) for i in range(n_objects))
-    grid = (32, 32, 8)
     return Scenario(
         name=f"random-{n_objects}x{lo}-{hi}-s{seed}",
         objects=objects,
         iterations=1,
-        machine=_machine_for_grid(grid),
+        machine=MachineModel(grid=(32, 32, 8)),
         cutoff=20,
-        grid=grid,
     )

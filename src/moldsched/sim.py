@@ -13,14 +13,15 @@ cell: in float seconds for the report and in exact work units for the
 normalized length.  Which processes each task blocks, and the order in
 which one process's tasks start, are the same for both, so they are
 read from the pieces once per partition and objects tuple, into an
-``_OwnerPlan`` kept with the partition, and each pass replays it with
-its own durations.
+``_OwnerPlan`` kept while the partition lives, and each pass replays it
+with its own durations.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -121,7 +122,7 @@ def _dense_seconds(workload: int, procs: int, machine: MachineModel) -> float:
 def external_phase_time(partition: PartitionMap, machine: MachineModel) -> float:
     """Seconds for one external matvec: near-region work plus shared FFTs."""
     grid = max(machine.grid_points, 1)
-    heaviest = max(partition.loads())
+    heaviest = max(partition.loads)
     fft = machine.t_fft * grid * math.log2(grid) / partition.n_procs
     return machine.t_near * heaviest + fft
 
@@ -178,16 +179,16 @@ class _OwnerPlan:
 
     @classmethod
     def of(cls, objects: Sequence[Object], partition: PartitionMap) -> "_OwnerPlan":
-        """The plan of ``partition``, kept with it for the last objects tuple.
+        """The plan of ``partition``, kept for its last objects tuple while it lives.
 
         A list of objects may change in place, so its plan is never kept.
         """
-        memo = partition._owner_plan
+        memo = _owner_plans.get(partition)
         if memo is not None and memo[0] is objects:
             return memo[1]
         plan = cls(objects, partition)
         if isinstance(objects, tuple):
-            object.__setattr__(partition, "_owner_plan", (objects, plan))
+            _owner_plans[partition] = (objects, plan)
         return plan
 
     def replay(self, durations: Sequence):
@@ -236,6 +237,11 @@ class _OwnerPlan:
                     free[p] = end
                     busy[p] += d
         return max(free, default=0), busy
+
+
+# partition -> (objects, its plan); an entry is freed with its partition,
+# and no plan refers to its partition, so none keeps it alive
+_owner_plans = weakref.WeakKeyDictionary()
 
 
 def _idle_fraction(makespan: float, busy: Sequence, procs: int) -> float:

@@ -1,11 +1,30 @@
 import time
 
+import numpy as np
 import pytest
 
 import moldsched as ms
 
 PARITY_PROCS = range(20, 1001, 20)
 BUS_FAMILY = (5, 10, 20, 40)
+
+
+def dense_partition(owned):
+    """The partition of a dense (process, object) matrix of owned edges."""
+    owned = np.asarray(owned)
+    pieces = tuple(
+        tuple((p, e) for p, e in enumerate(column) if e) for column in owned.T.tolist()
+    )
+    return ms.PartitionMap(pieces, tuple(owned.sum(axis=1).tolist()))
+
+
+def sparse_partition(n_procs, pieces):
+    """The partition of per-object (process, edges) pieces over n_procs processes."""
+    loads = [0] * n_procs
+    for object_pieces in pieces:
+        for p, edges in object_pieces:
+            loads[p] += edges
+    return ms.PartitionMap(tuple(pieces), tuple(loads))
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,8 @@ import moldsched as ms
 from moldsched.model import ObjectOrders
 from moldsched.partition import TaskListAssignment, destined_shares
 
+from conftest import dense_partition, sparse_partition
+
 
 def objects_of(edges):
     return [ms.Object(i, e) for i, e in enumerate(edges)]
@@ -51,7 +53,7 @@ def reference_partition_external(objects, procs):
             owned[p, obj.id] += chunk
             loads[p] += chunk
             heapq.heappush(heap, (loads[p], p))
-    return ms.PartitionMap(owned=owned)
+    return dense_partition(owned)
 
 
 def reference_assign_task_lists(schedule, partition):
@@ -140,26 +142,23 @@ class TestPartitionExternal:
         part = ms.partition_external(objects_of([7026] * 10), 20)
         assert part.owned.sum() == 70260
         assert list(part.partition_counts()) == [2] * 10
-        assert list(part.loads()) == [3513] * 20
+        assert list(part.loads) == [3513] * 20
 
     def test_symmetric_whole_objects(self):
         part = ms.partition_external(objects_of([100] * 4), 4)
         assert list(part.partition_counts()) == [1] * 4
-        assert list(part.loads()) == [100] * 4
+        assert list(part.loads) == [100] * 4
 
     def test_loads_of_split_objects_at_high_p(self):
-        # the partitioner hands its heap's loads to the map; maps built from
-        # the pieces alone sum them, and each call returns a new list
+        # the partitioner hands its heap's loads to the map; they equal the
+        # loads summed from the pieces alone
         objects = ms.gen_random(1500, (50, 1500), 0).objects
         for procs in (800, 900, 1000):
             part = ms.partition_external(objects, procs)
             assert any(len(pieces) > 1 for pieces in part.pieces)
             assert_partition_matches_reference(objects, procs)
-            rebuilt = ms.PartitionMap(n_procs=procs, pieces=part.pieces)
-            assert rebuilt.loads() == part.loads()
-            loads = part.loads()
-            loads[0] += 1
-            assert part.loads()[0] == loads[0] - 1
+            rebuilt = sparse_partition(procs, part.pieces)
+            assert rebuilt.loads == part.loads
 
     def test_single_process_identity(self):
         part = ms.partition_external(objects_of([100]), 1)
@@ -180,12 +179,12 @@ class TestPartitionExternal:
             for obj in objs:
                 if 0 < obj.edges <= target:
                     assert counts[obj.id] == 1
-            assert max(part.loads()) <= 2 * target
+            assert max(part.loads) <= 2 * target
 
     def test_zero_total_places_nothing(self):
         part = ms.partition_external(objects_of([0, 0]), 2)
         assert part.pieces == ((), ())
-        assert part.loads() == [0, 0]
+        assert part.loads == (0, 0)
 
     def test_noncontiguous_ids_rejected(self):
         with pytest.raises(ms.InvalidScenarioError):
@@ -196,7 +195,7 @@ def assert_partition_matches_reference(objects, procs):
     part = ms.partition_external(objects, procs)
     ref = reference_partition_external(objects, procs)
     assert (part.n_procs, part.pieces) == (ref.n_procs, ref.pieces)
-    assert part.loads() == ref.owned.sum(axis=1).tolist()
+    assert part.loads == tuple(ref.owned.sum(axis=1).tolist())
 
 
 class TestSizeOrderPerObjectsTuple:
@@ -243,27 +242,27 @@ def two_row_schedule(workloads):
 class TestAssignTaskLists:
     def test_symmetric_optimum(self):
         schedule = two_row_schedule([2, 1])
-        part = ms.PartitionMap(owned=np.array([[100, 10], [10, 100]]))
+        part = dense_partition(np.array([[100, 10], [10, 100]]))
         got = ms.assign_task_lists(schedule, part)
         assert got.process_to_row == (0, 1)
         assert got.overlap == (100, 100)
 
     def test_greedy_is_not_globally_optimal(self):
         schedule = two_row_schedule([2, 1])
-        part = ms.PartitionMap(owned=np.array([[100, 90], [95, 5]]))
+        part = dense_partition(np.array([[100, 90], [95, 5]]))
         got = ms.assign_task_lists(schedule, part)
         assert got.process_to_row == (0, 1)
         assert sum(got.overlap) == 105  # the swapped assignment reaches 185
 
     def test_single_process(self):
         schedule = two_row_schedule([7])
-        part = ms.PartitionMap(owned=np.array([[7]]))
+        part = dense_partition(np.array([[7]]))
         got = ms.assign_task_lists(schedule, part)
         assert got.process_to_row == (0,)
 
     def test_shape_mismatch(self):
         schedule = two_row_schedule([2, 1])
-        part = ms.PartitionMap(owned=np.array([[5, 5]]))
+        part = dense_partition(np.array([[5, 5]]))
         with pytest.raises(ms.ShapeError):
             ms.assign_task_lists(schedule, part)
 
@@ -290,12 +289,12 @@ class TestAssignTaskLists:
             schedule = two_row_schedule(
                 [(n - i) * (n - i) * 10000 for i in range(n)]
             )
-            part = ms.PartitionMap(owned=owned)
+            part = dense_partition(owned)
             got = ms.assign_task_lists(schedule, part)
 
             perm = list(range(n))
             rng.shuffle(perm)
-            got_perm = ms.assign_task_lists(schedule, ms.PartitionMap(owned=owned[perm]))
+            got_perm = ms.assign_task_lists(schedule, dense_partition(owned[perm]))
             for p in range(n):
                 assert got_perm.process_to_row[p] == got.process_to_row[perm[p]]
 
@@ -325,7 +324,7 @@ class TestRedistribution:
     def test_perfectly_aligned_is_free(self):
         objs = objects_of([100, 100])
         schedule = two_row_schedule([100 * 100] * 2)
-        part = ms.PartitionMap(owned=np.array([[100, 0], [0, 100]]))
+        part = dense_partition(np.array([[100, 0], [0, 100]]))
         assignment = ms.assign_task_lists(schedule, part)
         moved, messages, seconds = ms.redistribution_cost(
             assignment, schedule, part, ms.MachineModel()
@@ -335,7 +334,7 @@ class TestRedistribution:
     def test_single_owner_sends_to_other_process(self):
         # p0 owns all of both objects; row with object 1 lands on p1
         schedule = two_row_schedule([2, 1])
-        part = ms.PartitionMap(owned=np.array([[100, 50], [0, 0]]))
+        part = dense_partition(np.array([[100, 50], [0, 0]]))
         assignment = ms.assign_task_lists(schedule, part)
         assert assignment.process_to_row == (0, 1)
         machine = ms.MachineModel(alpha_msg=1e-6, beta_edge=1e-9)
@@ -387,18 +386,18 @@ class TestSequentialRedistribution:
     def test_split_object_none_on_the_row_process(self):
         # object 0 lies on processes 0-2; its row lands on process 3
         schedule = ms.lpt_schedule([ms.TaskSpec(0, 30)], 4).schedule
-        part = ms.PartitionMap(owned=np.array([[10], [12], [8], [0]]))
+        part = dense_partition(np.array([[10], [12], [8], [0]]))
         assert_cost_matches_reference((1, 2, 3, 0), schedule, part, (30, 3))
 
     def test_row_process_owns_the_whole_object(self):
         schedule = ms.lpt_schedule([ms.TaskSpec(0, 30)], 4).schedule
-        part = ms.PartitionMap(owned=np.array([[0], [30], [0], [0]]))
+        part = dense_partition(np.array([[0], [30], [0], [0]]))
         assert_cost_matches_reference((1, 0, 2, 3), schedule, part, (0, 0))
 
     def test_zero_edge_object(self):
         # object 0 has no edges and moves nothing, wherever its row lands
         schedule = two_row_schedule([2, 1])
-        part = ms.PartitionMap(owned=np.array([[0, 5], [0, 0]]))
+        part = dense_partition(np.array([[0, 5], [0, 0]]))
         assert part.pieces[0] == ()
         assert_cost_matches_reference((0, 1), schedule, part, (5, 1))
         assert_cost_matches_reference((1, 0), schedule, part, (0, 0))
@@ -441,7 +440,7 @@ HAND_BUILT = (
 
 class TestPieces:
     def test_hand_built(self):
-        part = ms.PartitionMap(owned=np.array([[100, 0, 50], [0, 0, 7], [3, 0, 0]]))
+        part = dense_partition(np.array([[100, 0, 50], [0, 0, 7], [3, 0, 0]]))
         assert part.pieces == (((0, 100), (2, 3)), (), ((0, 50), (1, 7)))
 
     def test_cached_once(self):
@@ -472,7 +471,7 @@ class TestAgainstDenseReference:
     def test_hand_built_partitions(self):
         machine = ms.MachineModel()
         for workloads, owned in HAND_BUILT:
-            part = ms.PartitionMap(owned=np.array(owned))
+            part = dense_partition(np.array(owned))
             assert_matches_reference(two_row_schedule(workloads), part, machine)
         part = ms.partition_external(objects_of([10]), 3)
         schedule = ms.lpt_schedule([ms.TaskSpec(0, 100, 3)], 3).schedule
@@ -500,7 +499,7 @@ def hand_built_cases(draw):
         else:
             k = 1
         tasks.append(ms.TaskSpec(tid, draw(st.sampled_from([0, 3, 3, 5])), k))
-    return ms.lpt_schedule(tasks, procs).schedule, ms.PartitionMap(owned=owned)
+    return ms.lpt_schedule(tasks, procs).schedule, dense_partition(owned)
 
 
 @st.composite
@@ -544,7 +543,7 @@ def grouped_cases(draw):
     q = draw(st.integers(0, procs - 1))
     owned[q, :] = 0
     owned[q, 0] = owned[q, len(groups)] = draw(st.integers(1, 3))
-    return schedule, ms.PartitionMap(owned=owned)
+    return schedule, dense_partition(owned)
 
 
 @settings(max_examples=300, deadline=None)
@@ -584,10 +583,10 @@ def test_property_partition_matches_dense_reference(edges, procs):
     ref = reference_partition_external(objects, procs)
     assert part.n_procs == ref.n_procs == procs
     assert part.pieces == ref.pieces
-    assert part.loads() == ref.owned.sum(axis=1).tolist()
+    assert part.loads == tuple(ref.owned.sum(axis=1).tolist())
     assert part.partition_counts() == (ref.owned > 0).sum(axis=0).tolist()
     assert part.owned.dtype == ref.owned.dtype
     assert np.array_equal(part.owned, ref.owned)
     # no process holds more than twice the target total / P, or more than the
     # one edge any owner holds when the target is below half an edge
-    assert max(part.loads()) * procs <= max(2 * sum(edges), procs)
+    assert max(part.loads) * procs <= max(2 * sum(edges), procs)

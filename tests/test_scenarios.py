@@ -20,7 +20,7 @@ class TestBus:
             assert len(scenario.objects) == 2 * pairs
             assert scenario.total_edges() == edges
             assert scenario.iterations == iters
-            assert scenario.grid == (500, 4 * pairs, 8)
+            assert scenario.machine.grid == (500, 4 * pairs, 8)
             assert scenario.machine.grid_points == 500 * 4 * pairs * 8
 
     def test_off_table_uses_nearest_row(self):
@@ -40,7 +40,7 @@ class TestSrr:
         total = scenario.total_edges()
         assert abs(total - 1_281_975) / 1_281_975 <= 0.01
         assert scenario.iterations == 43
-        assert scenario.grid == (1000, 1000, 4)
+        assert scenario.machine.grid == (1000, 1000, 4)
         # three size classes in 16:4:1 edge ratio
         sizes = sorted({o.edges for o in scenario.objects}, reverse=True)
         assert len(sizes) == 3
@@ -75,7 +75,7 @@ class TestInterposer:
         assert 0.0029 <= min(others)
         assert max(others) <= 0.0044
         assert interposer.iterations == 76
-        assert interposer.grid == (400, 400, 8)
+        assert interposer.machine.grid == (400, 400, 8)
 
     def test_deterministic(self):
         a = ms.gen_interposer()

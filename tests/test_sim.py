@@ -1,6 +1,8 @@
+import gc
 import heapq
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +17,12 @@ from moldsched.sim import (
     _idle_fraction,
     _no_redist_work_units,
     _OwnerPlan,
+    _owner_plans,
     _schedule_seconds,
     run_strategy,
 )
+
+from conftest import dense_partition, sparse_partition
 
 
 def reference_simultaneity_schedule(groups, tasks, durations, procs):
@@ -114,13 +119,13 @@ class TestDenseTaskTime:
 
 class TestExternalPhase:
     def test_balanced_loads(self):
-        part = ms.PartitionMap(owned=np.array([[50, 0], [0, 50]]))
-        machine = ms.MachineModel(t_near=1e-3, t_fft=0.0, grid_points=0)
+        part = dense_partition(np.array([[50, 0], [0, 50]]))
+        machine = ms.MachineModel(t_near=1e-3, t_fft=0.0, grid=(0, 0, 0))
         assert ms.external_phase_time(part, machine) == pytest.approx(0.05)
 
     def test_single_process_full_cost(self):
-        part = ms.PartitionMap(owned=np.array([[30, 70]]))
-        machine = ms.MachineModel(t_near=1.0, t_fft=1.0, grid_points=1024)
+        part = dense_partition(np.array([[30, 70]]))
+        machine = ms.MachineModel(t_near=1.0, t_fft=1.0, grid=(16, 8, 8))
         got = ms.external_phase_time(part, machine)
         assert got == pytest.approx(100 + 1024 * 10)
 
@@ -134,15 +139,15 @@ class TestExternalPhase:
         assert got == pytest.approx(expected)
 
     def test_zero_grid_points_drop_fft_term(self):
-        part = ms.PartitionMap(owned=np.array([[10]]))
-        machine = ms.MachineModel(t_near=1.0, t_fft=5.0, grid_points=0)
+        part = dense_partition(np.array([[10]]))
+        machine = ms.MachineModel(t_near=1.0, t_fft=5.0, grid=(0, 0, 0))
         assert ms.external_phase_time(part, machine) == pytest.approx(10.0)
 
 
 class TestNoRedistribution:
     def test_disjoint_singletons_no_idle(self):
         objs = [ms.Object(0, 10), ms.Object(1, 10)]
-        part = ms.PartitionMap(owned=np.array([[10, 0], [0, 10]]))
+        part = dense_partition(np.array([[10, 0], [0, 10]]))
         machine = ms.MachineModel(t_work=1.0, gamma_grid=0.0)
         makespan, idle = ms.internal_makespan_no_redist(objs, part, machine)
         assert makespan == pytest.approx(100.0)
@@ -152,7 +157,7 @@ class TestNoRedistribution:
         # A on {p0,p1}, B on {p1,p2}, equal durations: B waits for A, the
         # outer processors are each idle for half the phase
         objs = [ms.Object(0, 10), ms.Object(1, 10)]
-        part = ms.PartitionMap(owned=np.array([[5, 0], [5, 5], [0, 5]]))
+        part = dense_partition(np.array([[5, 0], [5, 5], [0, 5]]))
         machine = ms.MachineModel(t_work=1.0, gamma_grid=0.0)
         makespan, idle = ms.internal_makespan_no_redist(objs, part, machine)
         d = 100 / 2
@@ -193,10 +198,10 @@ class TestNoRedistWorkUnits:
 
     def test_hand_built_partitions_match_reference(self):
         objs = [ms.Object(0, 10), ms.Object(1, 10)]
-        singletons = ms.PartitionMap(owned=np.array([[10, 0], [0, 10]]))
-        chain = ms.PartitionMap(owned=np.array([[5, 0], [5, 5], [0, 5]]))
+        singletons = dense_partition(np.array([[10, 0], [0, 10]]))
+        chain = dense_partition(np.array([[5, 0], [5, 5], [0, 5]]))
         uneven = [ms.Object(0, 7), ms.Object(1, 0), ms.Object(2, 9)]
-        overlap = ms.PartitionMap(owned=np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
+        overlap = dense_partition(np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
         for objects, part in ((objs, singletons), (objs, chain), (uneven, overlap)):
             self._assert_matches(objects, part)
         assert _no_redist_work_units(objs, singletons) == 100
@@ -205,7 +210,7 @@ class TestNoRedistWorkUnits:
 
     def test_only_zero_edge_objects_is_zero(self):
         objs = [ms.Object(0, 0), ms.Object(1, 0)]
-        part = ms.PartitionMap(owned=np.zeros((3, 2), dtype=np.int64))
+        part = dense_partition(np.zeros((3, 2), dtype=np.int64))
         assert _no_redist_work_units(objs, part) == 0
         assert reference_no_redist_work_units(objs, part) == 0
 
@@ -220,6 +225,19 @@ class TestOwnerGroups:
         assert plan.workloads is ObjectOrders.of(srr.objects).workloads
         assert _OwnerPlan.of(list(srr.objects), part) is not plan
         assert _OwnerPlan.of(srr.objects, ms.partition_external(srr.objects, 100)) is not plan
+        fresh = ms.partition_external(srr.objects, 100)
+        _OwnerPlan.of(list(srr.objects), fresh)
+        assert fresh not in _owner_plans
+
+    def test_freed_with_its_partition(self, srr):
+        part = ms.partition_external(srr.objects, 100)
+        plan = _OwnerPlan.of(srr.objects, part)
+        assert _owner_plans[part] == (srr.objects, plan)
+        gone = weakref.ref(part)
+        del part
+        gc.collect()
+        assert gone() is None
+        assert all(kept is not plan for _, kept in _owner_plans.values())
 
     def test_split_queued_and_unshared_tasks(self):
         # p0 holds whole objects only; the object split over p1 and p2 makes
@@ -227,7 +245,7 @@ class TestOwnerGroups:
         objs = (ms.Object(0, 4), ms.Object(1, 6), ms.Object(2, 5), ms.Object(3, 3),
                 ms.Object(4, 0), ms.Object(5, 4))
         pieces = (((0, 4),), ((1, 3), (2, 3)), ((1, 5),), ((0, 3),), (), ((0, 4),))
-        plan = _OwnerPlan.of(objs, ms.PartitionMap(n_procs=4, pieces=pieces))
+        plan = _OwnerPlan.of(objs, sparse_partition(4, pieces))
         assert plan.workloads == [16, 36, 25, 9, 16]
         assert plan.split == [(1, [1, 2])]
         assert plan.queues == {1: [2]}
@@ -236,7 +254,7 @@ class TestOwnerGroups:
 
     def test_follow_the_order_of_the_objects(self):
         objs = [ms.Object(0, 7), ms.Object(1, 0), ms.Object(2, 9)]
-        part = ms.PartitionMap(owned=np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
+        part = dense_partition(np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
         plan = _OwnerPlan.of(objs, part)
         assert plan.workloads == [49, 81]
         assert plan.split == [(1, [0, 2]), (0, [0, 1, 2])]
@@ -342,7 +360,7 @@ def assert_schedule_matches_reference(groups, edges, durations, procs):
     """
     objects = tuple(ms.Object(i, e) for i, e in enumerate(edges))
     pieces = tuple(tuple((p, 1) for p in g) for g in groups)
-    plan = _OwnerPlan.of(objects, ms.PartitionMap(n_procs=procs, pieces=pieces))
+    plan = _OwnerPlan.of(objects, sparse_partition(procs, pieces))
     got = plan.replay(durations)
     tasks = [ms.TaskSpec(i, e * e, len(g)) for i, (g, e) in enumerate(zip(groups, edges))]
     assert got == reference_simultaneity_schedule(groups, tasks, durations, procs)
@@ -380,9 +398,9 @@ class TestSimultaneitySchedule:
     def test_hand_built_partitions_match_reference(self):
         machine = ms.MachineModel(t_work=1.0, gamma_grid=0.5)
         objs = [ms.Object(0, 10), ms.Object(1, 10)]
-        chain = ms.PartitionMap(owned=np.array([[5, 0], [5, 5], [0, 5]]))
+        chain = dense_partition(np.array([[5, 0], [5, 5], [0, 5]]))
         uneven = [ms.Object(0, 7), ms.Object(1, 0), ms.Object(2, 9)]
-        overlap = ms.PartitionMap(owned=np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
+        overlap = dense_partition(np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
         for objects, part in ((objs, chain), (uneven, overlap)):
             assert_owner_schedules_match(objects, part, machine)
 
@@ -396,7 +414,7 @@ class TestSimultaneitySchedule:
         assert_schedule_matches_reference(groups, edges, durations, 3)
         objects = tuple(ms.Object(i, e) for i, e in enumerate(edges))
         pieces = tuple(tuple((p, 1) for p in g) for g in groups)
-        plan = _OwnerPlan.of(objects, ms.PartitionMap(n_procs=3, pieces=pieces))
+        plan = _OwnerPlan.of(objects, sparse_partition(3, pieces))
         assert plan.unshared == [(0, [1, 0, 3])]
         makespan, busy = plan.replay(durations)
         assert makespan == busy[0] == 1e16
@@ -521,8 +539,7 @@ class TestSimulate:
         scenario = ms.Scenario(
             name="degenerate",
             objects=(ms.Object(0, 0), ms.Object(1, 10), ms.Object(2, 4)),
-            machine=ms.MachineModel(grid_points=512),
-            grid=(8, 8, 8),
+            machine=ms.MachineModel(grid=(8, 8, 8)),
         )
         for kind in StrategyKind:
             report = ms.simulate(scenario, kind, 2)
