@@ -4,7 +4,10 @@ The partitioner balances owned edges across processes while keeping the
 number of partitions per object minimal; small objects are never split.
 Task lists (schedule rows) are then matched to processes by edge overlap
 so that the per-iteration redistribution stage moves as little data as
-possible, and the residual traffic is accounted for explicitly.
+possible, and the residual traffic is priced explicitly: a task's
+processes hold even shares of its object, and each object's shortfalls
+are filled from its surpluses, both read from one merge of the group
+with the object's pieces.
 
 Object ids double as 0-based indices of the partition's per-object pieces,
 so schedule task ids address an object's pieces directly.
@@ -183,32 +186,6 @@ def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAs
     return TaskListAssignment(process_to_row=tuple(process_to_row), overlap=tuple(achieved))
 
 
-def _even_split(pieces: Pieces, group: List[int]) -> Dict[int, int]:
-    """Process -> edges: the object's edges split evenly and contiguously over ``group``.
-
-    ``group`` is in ascending process id; the first processes take one
-    edge more when the split is uneven.
-    """
-    base, rem = divmod(sum(e for _, e in pieces), len(group))
-    return {p: base + 1 if idx < rem else base for idx, p in enumerate(group)}
-
-
-def destined_shares(
-    schedule: Schedule, assignment: TaskListAssignment, partition: PartitionMap
-) -> Dict[int, Dict[int, int]]:
-    """Per object: process -> edge count it hosts for the internal problem.
-
-    A task's internal rows are split evenly and contiguously over the
-    processes executing it (the processes whose assigned task lists
-    contain the task), in ascending process id.
-    """
-    row_owner = assignment.row_to_process()
-    return {
-        tid: _even_split(partition.pieces[tid], sorted(row_owner[r] for r in rows))
-        for tid, rows in schedule.proc_assignment.items()
-    }
-
-
 def redistribution_cost(
     assignment: TaskListAssignment,
     schedule: Schedule,
@@ -217,21 +194,27 @@ def redistribution_cost(
 ) -> Tuple[int, int, float]:
     """Edges moved, messages sent and seconds spent aligning data layouts.
 
-    For each object, processes needing more of it than their external
-    partition holds receive the shortfall from processes holding a
-    surplus, matched in ascending process id.  Returns
-    (edges_moved, messages, alpha_msg*messages + beta_edge*edges_moved);
-    messages never exceeds P*(P-1).
+    Each task's object is split evenly and contiguously over the
+    processes executing it (those whose assigned rows hold the task), in
+    ascending process id; the first processes take one edge more when the
+    split is uneven.  Per object, processes needing more than their pieces
+    hold receive the shortfall from processes holding a surplus, matched
+    in ascending process id.  Returns (edges_moved, messages,
+    alpha_msg*messages + beta_edge*edges_moved); messages never exceeds
+    P*(P-1).
 
-    A sequential task runs on one process p, which needs the whole
-    object: every piece (q, e) with q != p sends its e edges to p, so
-    it is priced straight from the pieces.  A parallel task's processes
-    take the even split of ``destined_shares``, and surpluses and
-    deficits are matched.
+    A sequential task's process needs the whole object: every piece
+    (q, e) off that process sends its e edges.  The parallel tasks'
+    processes are found in ascending id by one walk over the processes,
+    each joining the parallel tasks of its row; a task's deficits and
+    surpluses then come from one merge of its group with the object's
+    pieces, which are sorted by process and hold at least one edge each.
     """
     row_owner = assignment.row_to_process()
     edges_moved = 0
     pairs = set()
+    held: Dict[int, List[List[int]]] = {}
+    parallel = []
     for tid, rows in schedule.proc_assignment.items():
         pieces = partition.pieces[tid]
         if len(rows) == 1:
@@ -242,25 +225,49 @@ def redistribution_cost(
                     edges_moved += e
                     pairs.add((q, p))
             continue
-        diff = dict(pieces)
-        for p, v in _even_split(pieces, sorted(row_owner[r] for r in rows)).items():
-            diff[p] = diff.get(p, 0) - v
-        held = sorted(diff.items())
-        deficits = [(p, -d) for p, d in held if d < 0]
-        surpluses = [(p, d) for p, d in held if d > 0]
-        edges_moved += sum(need for _, need in deficits)
+        group: List[int] = []
+        parallel.append((group, pieces))
+        for r in rows:
+            held.setdefault(r, []).append(group)
+    if held:
+        for p, r in enumerate(assignment.process_to_row):
+            for group in held.get(r, ()):
+                group.append(p)
+    for group, pieces in parallel:
+        total = 0
+        for _, e in pieces:
+            total += e
+        base, rem = divmod(total, len(group))
+        # merge the group and its shares with the pieces; a piece off the group is a surplus
+        deficits = []
+        surpluses = []
+        i, n = 0, len(pieces)
+        for idx, p in enumerate(group):
+            while i < n and pieces[i][0] < p:
+                surpluses.append(pieces[i])
+                i += 1
+            d = -base - 1 if idx < rem else -base
+            if i < n and pieces[i][0] == p:
+                d += pieces[i][1]
+                i += 1
+            if d < 0:
+                deficits.append((p, -d))
+                edges_moved -= d
+            elif d > 0:
+                surpluses.append((p, d))
+        surpluses.extend(pieces[i:])
         si = 0
         for p, need in deficits:
-            while need > 0:
+            while True:
                 q, have = surpluses[si]
-                take = min(need, have)
                 pairs.add((q, p))
-                need -= take
-                have -= take
-                if have == 0:
-                    si += 1
-                else:
-                    surpluses[si] = (q, have)
+                if have > need:
+                    surpluses[si] = (q, have - need)
+                    break
+                si += 1
+                need -= have
+                if not need:
+                    break
 
     messages = len(pairs)
     seconds = machine.alpha_msg * messages + machine.beta_edge * edges_moved

@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .model import (
+    InvalidScenarioError,
     InvalidTaskError,
     MachineModel,
     Object,
@@ -301,7 +302,13 @@ def _schedule_seconds(
         t.object_id: _dense_seconds(t.workload, k, machine)
         for t, k in zip(tasks, result.procs_per_task)
     }
-    busy = [plain_sum(seconds_of[tid] for tid in row) for row in result.schedule.rows]
+    # each row summed left to right from the integer 0, as plain_sum adds
+    busy = []
+    for row in result.schedule.rows:
+        total = 0
+        for tid in row:
+            total += seconds_of[tid]
+        busy.append(total)
     makespan = max(busy) if busy else 0.0
     return makespan, _idle_fraction(makespan, busy, len(busy))
 
@@ -316,7 +323,8 @@ def run_strategy(
 
     ``partition`` is the external partition of ``scenario.objects`` onto
     ``procs`` processes, as an earlier run at the same P returned it;
-    when it is None it is built here.
+    when it is None it is built here.  A report with a figure that is
+    not finite raises ``InvalidScenarioError``.
     """
     tasks = scenario.tasks()
     machine = scenario.machine
@@ -345,6 +353,13 @@ def run_strategy(
         idle_fraction=idle,
         comm=comm,
     )
+    # each coefficient and workload fits a float, but their products may not
+    figures = (report.t_matvec_avg, internal, idle, comm[2])
+    if not all(map(math.isfinite, figures)):
+        raise InvalidScenarioError(
+            f"{strategy.value} at P={procs} overflows a float: t_matvec_avg, "
+            f"internal_makespan, idle_fraction, comm_seconds = {figures}"
+        )
     return StrategyRun(
         report=report,
         c_max_norm=normalized_length(c_max_wu, ideal),

@@ -134,6 +134,38 @@ def test_malformed_scenario_exits_3(text, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+# each coefficient fits a float, but its product with a workload, a load or the
+# grid's FFT term does not
+OVERFLOWING_REPORTS = {
+    "t_work": '"machine": {"t_work": 1e300}',
+    "gamma_grid": '"machine": {"gamma_grid": 1e300}',
+    "t_near": '"machine": {"t_near": 1e300}',
+    "t_fft": '"machine": {"t_fft": 1e300}, "grid": [1000, 1000, 1000]',
+}
+
+
+@pytest.mark.parametrize("extra", OVERFLOWING_REPORTS.values(), ids=OVERFLOWING_REPORTS.keys())
+def test_non_finite_report_exits_3(extra, tmp_path, capsys):
+    text = '{"name": "x", "objects": [{"id": 0, "edges": 10000000000}], %s}' % extra
+    bad = tmp_path / "overflow.json"
+    bad.write_text(text + "\n")
+    # the file loads, and schedule prices nothing in seconds
+    scenario = scenario_from_json(text)
+    code, out, _ = run_cli(capsys, "schedule", str(bad), "--procs", "4")
+    assert code == 0 and out
+    for strategy in StrategyKind:
+        with pytest.raises(ms.InvalidScenarioError, match="overflows a float"):
+            run_strategy(scenario, strategy, 4)
+        code, out, err = run_cli(
+            capsys, "simulate", str(bad), "--procs", "4", "--strategy", strategy.value
+        )
+        assert (code, out) == (3, ""), strategy
+        assert "Traceback" not in err
+    code, out, err = run_cli(capsys, "sweep", str(bad), "--procs", "2:4:1")
+    assert (code, out) == (3, "")
+    assert "overflows a float" in err
+
+
 UNPARSABLE_FILES = {
     "truncated": b'{"name": "x", "objects": [{"id": 0, "edges": 5}',
     "empty": b"",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import moldsched as ms
 from moldsched.model import ObjectOrders
-from moldsched.partition import TaskListAssignment, destined_shares
+from moldsched.partition import TaskListAssignment
 
 from conftest import dense_partition, sparse_partition
 
@@ -80,19 +80,33 @@ def reference_assign_task_lists(schedule, partition):
     return TaskListAssignment(process_to_row=tuple(process_to_row), overlap=tuple(achieved))
 
 
+def destined_shares(schedule, assignment, partition):
+    """Per object: process -> edge count it hosts for the internal problem.
+
+    A task's internal rows are split evenly and contiguously over the
+    processes executing it (the processes whose assigned task lists
+    contain the task), in ascending process id; the first processes take
+    one edge more when the split is uneven.  Kept as the reference for
+    the shares that the pricing merges with the pieces.
+    """
+    row_owner = assignment.row_to_process()
+    shares = {}
+    for tid, rows in schedule.proc_assignment.items():
+        group = sorted(row_owner[r] for r in rows)
+        base, rem = divmod(sum(e for _, e in partition.pieces[tid]), len(group))
+        shares[tid] = {p: base + 1 if idx < rem else base for idx, p in enumerate(group)}
+    return shares
+
+
 def reference_redistribution_cost(assignment, schedule, partition, machine):
     """Surplus/deficit match on dense (P, N) want and diff matrices.
 
     Kept as the reference for the per-object pass over pieces.
     """
-    row_owner = assignment.row_to_process()
-    edges = partition.owned.sum(axis=0)
     want = np.zeros_like(partition.owned)
-    for tid, rows in schedule.proc_assignment.items():
-        group = sorted(row_owner[r] for r in rows)
-        base, rem = divmod(int(edges[tid]), len(group))
-        for idx, p in enumerate(group):
-            want[p, tid] = base + 1 if idx < rem else base
+    for tid, shares in destined_shares(schedule, assignment, partition).items():
+        for p, share in shares.items():
+            want[p, tid] = share
     diff = partition.owned - want
     edges_moved = int(np.where(diff < 0, -diff, 0).sum())
 
@@ -403,6 +417,45 @@ class TestSequentialRedistribution:
         assert_cost_matches_reference((1, 0), schedule, part, (0, 0))
 
 
+def one_parallel_task(procs, rows, pieces):
+    """A schedule of one parallel task on ``rows``, and its object's pieces."""
+    members = frozenset(rows)
+    rows_of = tuple((0,) if r in members else () for r in range(procs))
+    schedule = ms.Schedule.packed(rows_of, {0: members}, [ms.TaskSpec(0, 1, len(members))])
+    return schedule, sparse_partition(procs, (pieces,))
+
+
+class TestParallelRedistribution:
+    """The even shares of a parallel task's group, merged with its object's pieces.
+
+    With the identity placement, process p runs row p, so the group is the rows.
+    """
+
+    def test_group_disjoint_from_the_owners(self):
+        # 9 edges on processes 0 and 3, shares 5 and 4 on processes 1 and 2:
+        # process 0 sends 5 to 1 and 1 to 2, process 3 sends 3 to 2
+        schedule, part = one_parallel_task(4, (1, 2), ((0, 6), (3, 3)))
+        assert_cost_matches_reference((0, 1, 2, 3), schedule, part, (9, 3))
+        # rows 1 and 2 on the owners, processes 0 and 3, whose pieces are the shares
+        schedule, part = one_parallel_task(4, (1, 2), ((0, 5), (3, 4)))
+        assert_cost_matches_reference((1, 0, 3, 2), schedule, part, (0, 0))
+
+    def test_owner_whose_share_is_its_piece(self):
+        # shares 3, 3, 3: process 1 keeps its 3 edges, process 0 sends 1 to 2
+        schedule, part = one_parallel_task(3, (0, 1, 2), ((0, 4), (1, 3), (2, 2)))
+        assert_cost_matches_reference((0, 1, 2), schedule, part, (1, 1))
+
+    def test_remainder_edge_on_an_owner(self):
+        # 10 edges over processes 1-3 give shares 4, 3, 3; process 1 holds 5
+        # with the remainder edge, so it sends 1 and process 3 sends 2 to process 2
+        schedule, part = one_parallel_task(4, (1, 2, 3), ((1, 5), (3, 5)))
+        assert_cost_matches_reference((0, 1, 2, 3), schedule, part, (3, 2))
+        # with row 3 on process 0, the group is processes 0-2 and the remainder
+        # edge goes to process 0, which owns nothing: it takes 2 from process 1
+        # and 2 from process 3, and process 3 sends 3 to process 2
+        assert_cost_matches_reference((3, 1, 2, 0), schedule, part, (7, 3))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     edges=st.lists(st.integers(1000, 1999), min_size=1, max_size=4),
@@ -547,12 +600,18 @@ def grouped_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=st.one_of(hand_built_cases(), grouped_cases()))
-def test_property_assign_matches_dense_reference(case):
+@given(case=st.one_of(hand_built_cases(), grouped_cases()), data=st.data())
+def test_property_assign_matches_dense_reference(case, data):
     # processes that own nothing, or nothing of a free row, take the lowest
     # free row; equal overlaps go to the lowest row
     schedule, part = case
-    assert ms.assign_task_lists(schedule, part) == reference_assign_task_lists(schedule, part)
+    got = ms.assign_task_lists(schedule, part)
+    assert got == reference_assign_task_lists(schedule, part)
+    # the pricing of rows with two parallel tasks, and of a task in two
+    # classes, on the chosen placement and on any other
+    assert_cost_matches_reference(got.process_to_row, schedule, part)
+    process_to_row = tuple(data.draw(st.permutations(range(part.n_procs))))
+    assert_cost_matches_reference(process_to_row, schedule, part)
 
 
 @settings(max_examples=300, deadline=None)
