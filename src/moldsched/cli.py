@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -355,6 +356,9 @@ def _cmd_sweep(args) -> int:
     for (p, key) in sorted(cells):
         r, c_max_norm = cells[(p, key)]
         t_ref = t_at_pmin[key] * p_min / p
+        # finite reports, but their product with P_min may not be
+        if not math.isfinite(t_ref):
+            raise InvalidScenarioError(f"{key} at P={p} overflows a float: t_ref = {t_ref}")
         rows.append(
             f"{p},{key},{r.t_gen!r},{r.t_matvec_avg!r},{r.t_iter_avg!r},"
             f"{r.internal_makespan!r},{r.idle_fraction!r},{r.comm[0]},{r.comm[1]},"

@@ -52,44 +52,69 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     the per-process target (total edges / P) goes whole to the currently
     least-loaded process; a larger one is cut into ceil(edges/target)
     near-equal contiguous chunks, placed on the least-loaded processes.
-    Each object's pieces sum to its edge count exactly, and no process
-    ends up with more than twice the target, or more than one edge when
-    the target is below half an edge.
+    Ties between equal loads go to the lowest process id.  Each object's
+    pieces sum to its edge count exactly, and no process ends up with
+    more than twice the target, or more than one edge when the target is
+    below half an edge.
+
+    Each process is one int key ``load * procs + p`` in a min-heap: as
+    0 <= p < procs, the keys sort as the (load, p) pairs do, the process
+    is ``key % procs``, placing ``edges`` adds ``edges * procs``, and
+    ``divmod(key, procs)`` gives the final (load, p).  The objects above
+    the target are a prefix of the size order, so one loop cuts them,
+    popping k keys and pushing each back with its chunk, and a second
+    loop places the whole objects with no target test.  A key below
+    ``procs`` is an empty process, and every placed piece holds at least
+    one edge, so the empty processes are the least loaded: the second
+    loop hands them the next objects in ascending id without a heap step,
+    then heapifies the loaded keys once and goes on with ``heapreplace``.
 
     The check that the ids are 0..N-1, the edge total and the size order
     (zero-edge objects left out) do not depend on P: they come from
     ``ObjectOrders``, computed once per objects tuple, so a sweep sorts
     its objects once.  A list of objects is checked and sorted per call.
-    Each process's load, left in the heap at the end, goes to the map.
     """
     if procs < 1:
         raise InvalidScenarioError(f"procs must be >= 1, got {procs}")
     orders = ObjectOrders.of(objects)
     total = orders.total
+    by_size = orders.by_size
 
     pieces: List[Pieces] = [()] * len(objects)
+    heap = list(range(procs))  # every load 0: already a heap
 
-    # (load, process id) min-heap, one entry per process
-    heap: List[Tuple[int, int]] = [(0, p) for p in range(procs)]
-
-    for i, edges in orders.by_size:
-        if edges * procs <= total:  # edges <= target
-            load, p = heap[0]
-            pieces[i] = ((p, edges),)
-            heapq.heapreplace(heap, (load + edges, p))
-            continue
+    n_split = 0
+    for i, edges in by_size:
+        if edges * procs <= total:  # edges <= target, and so are the objects after it
+            break
+        n_split += 1
         k = -(-edges * procs // total)  # ceil(edges / target)
         k = min(k, edges, procs)
         base, rem = divmod(edges, k)
-        takers = [heapq.heappop(heap) for _ in range(k)]
-        chunks = [(p, base + 1 if idx < rem else base) for idx, (_, p) in enumerate(takers)]
-        for (load, _), (p, chunk) in zip(takers, chunks):
-            heapq.heappush(heap, (load + chunk, p))
         # the takers are distinct: none is pushed back before all k are popped
+        takers = [heapq.heappop(heap) for _ in range(k)]
+        chunks = []
+        for idx, key in enumerate(takers):
+            chunk = base + 1 if idx < rem else base
+            chunks.append((key % procs, chunk))
+            heapq.heappush(heap, key + chunk * procs)
         pieces[i] = tuple(sorted(chunks))
 
-    loads = [0] * procs
-    for load, p in heap:
+    whole = by_size[n_split:]
+    loaded = [key for key in heap if key >= procs]
+    empty = sorted(key for key in heap if key < procs)
+    for (i, edges), p in zip(whole, empty):
+        pieces[i] = ((p, edges),)
+        loaded.append(edges * procs + p)
+    heapq.heapify(loaded)
+    for i, edges in whole[len(empty):]:
+        key = loaded[0]
+        pieces[i] = ((key % procs, edges),)
+        heapq.heapreplace(loaded, key + edges * procs)
+
+    loads = [0] * procs  # the processes left empty keep 0
+    for key in loaded:
+        load, p = divmod(key, procs)
         loads[p] = load
     return PartitionMap(tuple(pieces), tuple(loads))
 

@@ -166,6 +166,26 @@ def test_non_finite_report_exits_3(extra, tmp_path, capsys):
     assert "overflows a float" in err
 
 
+def test_overflowing_t_ref_exits_3(tmp_path, capsys):
+    # every report is finite, but t_ref = t_matvec_avg(P_min) * P_min / P
+    # overflows before the division
+    text = ('{"name": "x", "objects": [{"id": 0, "edges": 10000000000}], '
+            '"machine": {"t_near": 4e298}}')
+    bad = tmp_path / "t_ref.json"
+    bad.write_text(text + "\n")
+    scenario = scenario_from_json(text)
+    for procs, t_matvec_avg in ((40, 1e307), (80, 5e306)):
+        run = run_strategy(scenario, StrategyKind.NO_REDISTRIBUTION, procs)
+        assert run.report.t_matvec_avg == t_matvec_avg
+    csv = tmp_path / "t_ref.csv"
+    for out_args in ((), ("-o", str(csv))):
+        code, out, err = run_cli(capsys, "sweep", str(bad), "--procs", "40:80:40",
+                                 "--strategies", "no-redist", *out_args)
+        assert (code, out) == (3, "")
+        assert "t_ref" in err and "Traceback" not in err
+    assert not csv.exists()
+
+
 UNPARSABLE_FILES = {
     "truncated": b'{"name": "x", "objects": [{"id": 0, "edges": 5}',
     "empty": b"",
@@ -498,6 +518,22 @@ def test_golden_sweep_digests(kind, procs, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "sweep", str(path), "--procs", procs)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SWEEPS[(kind, procs)]
+
+
+# sha256 of the benchmark's random no-redist sweep, which never schedules:
+# partition_external and the owner-group passes make every row.  Recorded
+# before the partitioner held one int key per process.
+GOLDEN_RANDOM_NO_REDIST_SWEEP = "a8cfd26f60c91b22ff4599e41015026e4f53ffe7bb13fae78f0210a4aadd574c"
+
+
+def test_golden_random_no_redist_sweep_digest(tmp_path, capsys):
+    path = tmp_path / "random.json"
+    gen_args = ("--objects", "1500", "--edges", "50:1500", "--seed", "0")
+    assert run_cli(capsys, "gen", "random", *gen_args, "-o", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, "sweep", str(path), "--procs", "40:1000:40",
+                           "--strategies", "no-redist")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_RANDOM_NO_REDIST_SWEEP
 
 
 # sha256 of the 1:61:3 sweep CSV of gen_random(90, (0, 2), 0) with its objects

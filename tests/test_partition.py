@@ -165,11 +165,13 @@ class TestPartitionExternal:
 
     def test_loads_of_split_objects_at_high_p(self):
         # the partitioner hands its heap's loads to the map; they equal the
-        # loads summed from the pieces alone
+        # loads summed from the pieces alone.  760 is the last P of the
+        # 40:1000:40 sweep at which every object goes whole, 800 the first
+        # at which some are split.
         objects = ms.gen_random(1500, (50, 1500), 0).objects
-        for procs in (800, 900, 1000):
+        for procs in (40, 760, 800, 900, 1000):
             part = ms.partition_external(objects, procs)
-            assert any(len(pieces) > 1 for pieces in part.pieces)
+            assert any(len(pieces) > 1 for pieces in part.pieces) == (procs >= 800)
             assert_partition_matches_reference(objects, procs)
             rebuilt = sparse_partition(procs, part.pieces)
             assert rebuilt.loads == part.loads
@@ -649,3 +651,56 @@ def test_property_partition_matches_dense_reference(edges, procs):
     # no process holds more than twice the target total / P, or more than the
     # one edge any owner holds when the target is below half an edge
     assert max(part.loads) * procs <= max(2 * sum(edges), procs)
+
+
+def empty_and_whole(edges, procs):
+    """Empty processes left after the split objects are cut, and whole objects.
+
+    A split object of e edges takes min(ceil(e / target), e, P) processes,
+    the empty ones first.
+    """
+    total = sum(edges)
+    split = [e for e in edges if e * procs > total]
+    takers = sum(min(-(-e * procs // total), e, procs) for e in split)
+    return max(procs - takers, 0), sum(1 for e in edges if 0 < e and e * procs <= total)
+
+
+@st.composite
+def phase_boundary_cases(draw):
+    """Edges and P with fewer, as many or more empty processes after the
+    split objects than there are whole objects.
+
+    A whole object holds at most the target T = total / P, and a split one
+    of e edges takes ceil(e / T) processes unless that exceeds e, which
+    happens only when P > total.  So there are more empty processes than
+    whole objects only when P > total, where every object is cut into
+    single edges and no whole object is left.  As many: split objects of
+    k * T edges and P - sum(k) whole objects of T edges each; cutting one
+    of those into smaller whole objects gives fewer.  With the scale,
+    edges and loads go beyond 2**53.
+    """
+    regime = draw(st.sampled_from(["fewer", "as many", "more"]))
+    if regime == "more":
+        edges = draw(st.lists(st.integers(0, 5), min_size=1, max_size=8).filter(any))
+        procs = sum(edges) + draw(st.integers(1, 20))
+    else:
+        target = draw(st.integers(2 if regime == "fewer" else 1, 6))
+        target *= draw(st.sampled_from([1, 2**53 + 1]))
+        ks = draw(st.lists(st.integers(2, 6), max_size=4))
+        n_whole = draw(st.integers(0 if ks and regime == "as many" else 1, 8))
+        procs = sum(ks) + n_whole
+        edges = [k * target for k in ks] + [target] * n_whole
+        if regime == "fewer":
+            cuts = sorted(draw(st.sets(st.integers(1, target - 1), min_size=1, max_size=3)))
+            edges[-1:] = [b - a for a, b in zip([0] + cuts, cuts + [target])]
+    edges += [0] * draw(st.integers(0, 2))
+    return draw(st.permutations(edges)), procs, regime
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=phase_boundary_cases())
+def test_property_partition_phases_match_dense_reference(case):
+    edges, procs, regime = case
+    empty, whole = empty_and_whole(edges, procs)
+    assert {"fewer": empty < whole, "as many": empty == whole, "more": empty > whole}[regime]
+    assert_partition_matches_reference(objects_of(edges), procs)
