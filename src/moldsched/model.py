@@ -180,6 +180,18 @@ class TaskOrders(_PerTuple):
         return [t.object_id for t in self.items]
 
     @cached_property
+    def problem(self) -> Optional[str]:
+        """What makes the tasks invalid for the schedulers, or None."""
+        if len(set(self.ids)) != len(self.ids):
+            return "task ids must be unique"
+        for t in self.items:
+            if t.procs < 1:
+                return f"task {t.object_id}: procs must be >= 1"
+            if t.workload < 0:
+                return f"task {t.object_id}: workload must be >= 0"
+        return None
+
+    @cached_property
     def workloads(self) -> List[int]:
         return [t.workload for t in self.items]
 
@@ -199,6 +211,12 @@ class TaskOrders(_PerTuple):
     def ends(self) -> List[int]:
         """Position in ``order`` just past each run."""
         return list(accumulate(m for _, m in self.runs))
+
+    @cached_property
+    def last_ahead(self) -> List[int]:
+        """Workload ahead of each run's last task in ``order``."""
+        runs = self.runs
+        return [ahead - w for (w, _), ahead in zip(runs, accumulate(w * m for w, m in runs))]
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,14 +60,16 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     Each process is one int key ``load * procs + p`` in a min-heap: as
     0 <= p < procs, the keys sort as the (load, p) pairs do, the process
     is ``key % procs``, placing ``edges`` adds ``edges * procs``, and
-    ``divmod(key, procs)`` gives the final (load, p).  The objects above
-    the target are a prefix of the size order, so one loop cuts them,
-    popping k keys and pushing each back with its chunk, and a second
-    loop places the whole objects with no target test.  A key below
-    ``procs`` is an empty process, and every placed piece holds at least
-    one edge, so the empty processes are the least loaded: the second
-    loop hands them the next objects in ascending id without a heap step,
-    then heapifies the loaded keys once and goes on with ``heapreplace``.
+    ``divmod(key, procs)`` gives the final (load, p).  Every placed piece
+    holds at least one edge, so the empty processes are the least loaded,
+    and they are taken in ascending id: they need no heap, only a cursor,
+    and the heap holds the loaded keys alone.  The objects above the
+    target are a prefix of the size order, so one loop cuts them, taking
+    k processes, the empty ones first and then popped keys, and pushing
+    each back with its chunk.  A second loop places the whole objects
+    with no target test: it hands the empty processes the next objects
+    without a heap step, then heapifies the loaded keys once and goes on
+    with ``heapreplace``.
 
     The check that the ids are 0..N-1, the edge total and the size order
     (zero-edge objects left out) do not depend on P: they come from
@@ -81,7 +83,8 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     by_size = orders.by_size
 
     pieces: List[Pieces] = [()] * len(objects)
-    heap = list(range(procs))  # every load 0: already a heap
+    loaded: List[int] = []  # keys of the processes holding a piece
+    fresh = 0  # processes fresh.. hold nothing yet
 
     n_split = 0
     for i, edges in by_size:
@@ -91,23 +94,25 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
         k = -(-edges * procs // total)  # ceil(edges / target)
         k = min(k, edges, procs)
         base, rem = divmod(edges, k)
-        # the takers are distinct: none is pushed back before all k are popped
-        takers = [heapq.heappop(heap) for _ in range(k)]
+        # the empty processes first, then the least loaded; the takers are
+        # distinct: none is pushed back before all k are taken
+        e = min(k, procs - fresh)
+        takers = list(range(fresh, fresh + e))
+        takers += [heapq.heappop(loaded) for _ in range(k - e)]
+        fresh += e
         chunks = []
         for idx, key in enumerate(takers):
             chunk = base + 1 if idx < rem else base
             chunks.append((key % procs, chunk))
-            heapq.heappush(heap, key + chunk * procs)
+            heapq.heappush(loaded, key + chunk * procs)
         pieces[i] = tuple(sorted(chunks))
 
     whole = by_size[n_split:]
-    loaded = [key for key in heap if key >= procs]
-    empty = sorted(key for key in heap if key < procs)
-    for (i, edges), p in zip(whole, empty):
+    for (i, edges), p in zip(whole, range(fresh, procs)):
         pieces[i] = ((p, edges),)
         loaded.append(edges * procs + p)
     heapq.heapify(loaded)
-    for i, edges in whole[len(empty):]:
+    for i, edges in whole[procs - fresh:]:
         key = loaded[0]
         pieces[i] = ((key % procs, edges),)
         heapq.heapreplace(loaded, key + edges * procs)

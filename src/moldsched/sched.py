@@ -7,17 +7,28 @@ integers, never on rounded floats.  There is one scheduling path, in
 pure Python.  The iterative scheduler carries its makespans as integer
 (numerator, denominator) pairs and compares W/P values by
 cross-multiplying; a ``Fraction`` is made once, for the returned c_max.
+A step logs the task it grew and its old P_i, and the steps past the
+best schedule are undone once, at the end, so no step copies the P_i.
+
 It needs only the makespan of each rebuilt schedule.  It skips the
 rebuild when the makespan is the longest task's duration: when the idle
 processors are at least as many as the sequential tasks (each then runs
 alone from time zero), or when Graham's list-scheduling bound proves it.
-Otherwise it computes the makespan from buckets of equal finish times:
-it keeps the parallel tasks as a multiset of (W_i, P_i) classes, one
-bucket per class, so a rebuild costs O(classes + runs of equal
-sequential workloads), not O(tasks).
+Graham's bound peaks at the last task of each run of equal sequential
+workloads, so it is kept per run, built in O(runs) per call from a fact
+of the task tuple (``TaskOrders.last_ahead``).  Otherwise it computes the
+makespan from buckets of equal finish times: it keeps the parallel tasks
+as a multiset of (W_i, P_i) classes, one bucket per class, so a rebuild
+costs O(classes + runs of equal sequential workloads), not O(tasks).
+That walk stops, too, at the first run from which the bound covers the
+rest, when no finish placed so far exceeds the longest task's duration.
+``ScheduleResult.routes`` counts the makespans each way settled.
+
 It places the tasks once, for the best processor counts found, in the
 LPT placement pass that ``lpt_schedule`` also runs: one pass builds the
-rows and the processor groups and gives the makespan.  A built schedule
+rows and the processor groups and gives the makespan.  It takes the
+parallel prefix and the sequential suffix as two lists and keeps each
+processor as one int key, ``finish * procs + p``.  A built schedule
 keeps integer clocks until its start and finish times are read; only
 then are they made exact ``Fraction``s (see ``Schedule``).
 """
@@ -25,11 +36,12 @@ then are they made exact ``Fraction``s (see ``Schedule``).
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from math import isqrt, lcm
+from operator import neg
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .model import (
@@ -63,6 +75,12 @@ class ScheduleResult:
     overdraw the budget) or "worse" (the rebuilt schedule was strictly
     longer).  A step that is both not-longest and an overdraw reads
     "not-longest".  ``lpt_schedule`` results read "none".
+
+    ``routes`` counts how ``part_schedule`` found each makespan it
+    needed, one before its loop and one per rebuild, in this order: by
+    the idle-processor cut, by Graham's bound at the first sequential
+    task, by Graham's bound mid-walk, and by a walk to the end.
+    ``lpt_schedule`` needs none.
     """
 
     schedule: Schedule
@@ -71,6 +89,7 @@ class ScheduleResult:
     iterations_taken: int
     restricted: bool
     stop_reason: str
+    routes: Tuple[int, int, int, int] = (0, 0, 0, 0)
 
 
 def lpt_bound(procs: int) -> Fraction:
@@ -138,52 +157,62 @@ def nearest_approx_square(p: int) -> int:
 
 
 def _lpt_place(
-    tasks: Sequence[TaskSpec],
+    orders: TaskOrders,
     pi: Sequence[int],
-    order: Sequence[int],
+    parallel: Sequence[int],
+    sequential: Sequence[int],
     procs: int,
     seeds: Optional[Sequence[Fraction]],
 ) -> Tuple[Schedule, Tuple[int, int]]:
     """One LPT pass with the P_i fixed: the Schedule and its makespan as (top, denom).
 
-    Durations are scaled by denom, the lcm of the P_i and of the seed
-    denominators.  ``order`` lists the task positions longest W_i/P_i
-    first, ties to the lowest id; only the order among the parallel
-    tasks and the order among the sequential tasks are read.  Parallel
-    tasks take contiguous groups from processor 0; sequential tasks then
-    go to the earliest-finishing processor, ties to the lowest processor
-    id.  So each row holds its parallel task, if any, first.  The
-    makespan is top / denom.
+    ``orders`` holds the tasks.  ``parallel`` and ``sequential`` list the
+    positions of the tasks with P_i > 1 and with P_i = 1, each longest
+    W_i/P_i first, ties to the lowest id.  Parallel tasks take contiguous
+    groups from processor 0; sequential tasks then go to the
+    earliest-finishing processor, ties to the lowest processor id.  So
+    each row holds its parallel task, if any, first.
+
+    Durations are scaled by denom, the lcm of the parallel P_i and of the
+    seed denominators, and each processor is one int key ``finish * procs
+    + p`` in a min-heap: as 0 <= p < procs, the keys sort as the (finish,
+    p) pairs do, the processor is ``key % procs``, and a task of workload
+    W adds ``W * denom * procs``.  The makespan is top / denom.
     """
-    denom = lcm(*pi, *(s.denominator for s in seeds or ()))
-    scaled = [t.workload * (denom // k) for t, k in zip(tasks, pi)]
+    ids, workloads = orders.ids, orders.workloads
+    denom = lcm(*(pi[i] for i in parallel), *(s.denominator for s in seeds or ()))
     fin = [0] * procs if seeds is None else [int(s * denom) for s in seeds]
     rows: List[List[int]] = [[] for _ in range(procs)]
     groups = {}
 
     nxt = 0
-    for i in order:
+    for i in parallel:
         k = pi[i]
-        if k > 1:
-            tid = tasks[i].object_id
-            group = range(nxt, nxt + k)
-            for p in group:
-                rows[p].append(tid)
-                fin[p] += scaled[i]
-            groups[tid] = frozenset(group)
-            nxt += k
+        tid = ids[i]
+        # the groups are disjoint and seeds come with no parallel task: each F_p was 0
+        fin[nxt:nxt + k] = [workloads[i] * (denom // k)] * k
+        for row in rows[nxt:nxt + k]:
+            row.append(tid)
+        groups[tid] = frozenset(range(nxt, nxt + k))
+        nxt += k
 
-    heap = [(f, p) for p, f in enumerate(fin)]
+    heap = [f * procs + p for p, f in enumerate(fin)]
     heapq.heapify(heap)
-    for i in order:
-        if pi[i] == 1:
-            tid = tasks[i].object_id
-            f, p = heap[0]
-            rows[p].append(tid)
-            groups[tid] = frozenset((p,))
-            heapq.heapreplace(heap, (f + scaled[i], p))
-    schedule = Schedule.packed(tuple(map(tuple, rows)), groups, tasks, seeds)
-    return schedule, (max(heap)[0], denom)
+    unit = denom * procs
+    # one frozenset per processor, shared by its sequential tasks
+    alone: List[Optional[frozenset]] = [None] * procs
+    for i in sequential:
+        tid = ids[i]
+        key = heap[0]
+        p = key % procs
+        rows[p].append(tid)
+        group = alone[p]
+        if group is None:
+            group = alone[p] = frozenset((p,))
+        groups[tid] = group
+        heapq.heapreplace(heap, key + workloads[i] * unit)
+    schedule = Schedule.packed(tuple(map(tuple, rows)), groups, orders.items, seeds)
+    return schedule, (max(heap) // procs, denom)
 
 
 def _lpt_makespan(
@@ -192,8 +221,10 @@ def _lpt_makespan(
     r: int,
     first: int,
     procs: int,
-) -> Tuple[int, int]:
-    """Makespan of an LPT pass, without the placements, as (top, denom).
+    reach: Sequence[int],
+    longest: Tuple[int, int],
+) -> Tuple[int, int, bool]:
+    """Makespan of an LPT pass, without the placements, as (top, denom, cut).
 
     ``classes`` counts the parallel tasks per (W_i, P_i) class.  The
     sequential tasks, in LPT order, are ``first`` tasks of ``runs[r]``
@@ -205,14 +236,28 @@ def _lpt_makespan(
     put its tasks, in one heap step per bucket.  A call costs O(classes +
     runs), however many tasks the classes hold.  The makespan is top /
     denom, with denom the lcm of the distinct P_i.
+
+    The walk stops early at Graham's bound.  ``longest`` is (W_j, P_j) of
+    a task of the longest duration, so the makespan is at least W_j/P_j,
+    and ``reach[q]`` is P times the latest finish Graham's bound allows
+    the tasks of ``runs[q:]`` (see ``part_schedule``).  ``reach`` does not
+    grow with q and finish times never fall, so only the first run q > r
+    with reach[q] * P_j <= P * W_j is tested: if no finish so far
+    exceeds W_j/P_j, no task will, and the call returns (W_j, P_j,
+    True).  A walk to the end returns cut False.
     """
+    w_j, p_j = longest
     denom = lcm(*(k for _, k in classes))
     buckets = [(w * (denom // k), c * k) for (w, k), c in classes.items()]
     idle = procs - sum(c for _, c in buckets)
     if idle:
         buckets.append((0, idle))
     heapq.heapify(buckets)
-    for w, m in chain(((runs[r][0], first),), islice(runs, r + 1, None)):
+    # the first q > r with reach[q] <= P * W_j / P_j (reach is an int)
+    g = bisect_left(reach, -(procs * w_j // p_j), r + 1, key=neg)
+    for q, (w, m) in enumerate(chain(((runs[r][0], first),), islice(runs, r + 1, None)), r):
+        if q == g and max(buckets)[0] * p_j <= w_j * denom:
+            return w_j, p_j, True
         s = w * denom
         while m:
             f, c = buckets[0]
@@ -224,20 +269,17 @@ def _lpt_makespan(
                 heapq.heapreplace(buckets, (f + s, c))
                 m -= c
     # finish times only grow, so the last ones hold the largest
-    return max(buckets)[0], denom
+    return max(buckets)[0], denom, False
 
 
-def _check_inputs(tasks: Sequence[TaskSpec], procs: int) -> None:
+def _check_inputs(tasks: Sequence[TaskSpec], procs: int) -> TaskOrders:
+    """The tasks' ``TaskOrders``, once P and the tasks are checked (per task tuple)."""
     if procs < 1:
         raise InvalidTaskError(f"procs must be >= 1, got {procs}")
-    ids = [t.object_id for t in tasks]
-    if len(set(ids)) != len(ids):
-        raise InvalidTaskError("task ids must be unique")
-    for t in tasks:
-        if t.procs < 1:
-            raise InvalidTaskError(f"task {t.object_id}: procs must be >= 1")
-        if t.workload < 0:
-            raise InvalidTaskError(f"task {t.object_id}: workload must be >= 0")
+    orders = TaskOrders.of(tasks)
+    if orders.problem is not None:
+        raise InvalidTaskError(orders.problem)
+    return orders
 
 
 def lpt_schedule(
@@ -255,7 +297,7 @@ def lpt_schedule(
     seeds per-processor finish times and is only supported for
     all-sequential task lists.
     """
-    _check_inputs(tasks, procs)
+    orders = _check_inputs(tasks, procs)
     parallel_total = sum(t.procs for t in tasks if t.procs > 1)
     if parallel_total > procs:
         raise InfeasibleParallelSetError(
@@ -276,11 +318,13 @@ def lpt_schedule(
                 "initial_finish seeds are only supported for sequential task lists"
             )
 
+    ids, workloads = orders.ids, orders.workloads
     pi = [t.procs for t in tasks]
     scale = lcm(*pi)
-    order = sorted(range(len(tasks)),
-                   key=lambda i: (-tasks[i].workload * (scale // pi[i]), tasks[i].object_id))
-    schedule, (top, denom) = _lpt_place(tasks, pi, order, procs, seeds)
+    order = sorted(range(len(tasks)), key=lambda i: (-workloads[i] * (scale // pi[i]), ids[i]))
+    parallel = [i for i in order if pi[i] > 1]
+    sequential = [i for i in order if pi[i] == 1]
+    schedule, (top, denom) = _lpt_place(orders, pi, parallel, sequential, procs, seeds)
     return ScheduleResult(
         schedule=schedule,
         c_max=Fraction(top, denom),
@@ -325,18 +369,22 @@ def part_schedule(
     the shortest one encountered; rebuilds that merely tie the current
     length keep the search going but never replace the best schedule, so
     chains of equal-length tasks still end up parallelized.  The result's
-    ``restricted`` says whether the cutoff ever changed a step, and its
-    ``stop_reason`` which test ended the loop.
+    ``restricted`` says whether the cutoff ever changed a step, its
+    ``stop_reason`` which test ended the loop, and its ``routes`` how each
+    makespan was found.
 
     The parallel tasks are always the longest-first prefix of the
     sequential LPT order, and the loop keeps them both in a heap, for
     the longest task, and as a multiset of (W_i, P_i) classes, for the
     rebuild's makespan: a step adds one class entry or moves one to
-    another class.
+    another class.  Growing the heap's top only shortens it, so its P is
+    raised in place and it sinks only when a child now runs longer.  A
+    step logs (task, old P_i) instead of copying the P_i; the steps past
+    the best schedule are undone from the log once, at the end.
     """
     if not tasks:
         raise InvalidTaskError("part_schedule needs a nonempty task list")
-    _check_inputs(tasks, procs)
+    orders = _check_inputs(tasks, procs)
     if cutoff is not None and cutoff < 1:
         raise InvalidTaskError(f"cutoff must be >= 1 or None, got {cutoff}")
 
@@ -345,24 +393,20 @@ def part_schedule(
     # parallel is always the first sequential one: the parallel tasks are
     # the prefix order[:k].  The order and its runs of equal workloads
     # depend on the tasks only, so they are built once per task tuple.
-    orders = TaskOrders.of(tasks)
     ids, workloads, order = orders.ids, orders.workloads, orders.order
     # runs of equal workloads in ``order``: (W, count), ending at ends[r]
     runs, ends = orders.runs, orders.ends
     n = len(tasks)
     pi = [1] * n
-    k = 0
+    # order[k] is the longest sequential task, in runs[r]
+    k = r = 0
 
     # Graham: sequential task j finishes by (W_par + prefix_j)/P + W_j, and
-    # W_par + prefix_j is the workload ahead of j in ``order``.  reach[k]
-    # is P times the largest such bound over order[k:].
-    reach = []
-    ahead = 0
-    for i in order:
-        reach.append(ahead + procs * workloads[i])
-        ahead += workloads[i]
-    for pos in range(n - 2, -1, -1):
-        reach[pos] = max(reach[pos], reach[pos + 1])
+    # W_par + prefix_j is the workload ahead of j in ``order``.  Within a run
+    # that peaks at the run's last task, so reach[r] is P times the largest
+    # such bound over the tasks of runs[r:], and it never grows with r.
+    reach = [ahead + procs * w for ahead, (w, _) in zip(orders.last_ahead, runs)]
+    reach = list(accumulate(reversed(reach), max))[::-1]
 
     # parallel tasks, longest first; the longest sequential task is order[k]
     parallel: List[_Longer] = []
@@ -383,29 +427,41 @@ def part_schedule(
 
     # processors no parallel task holds: procs - sum(P_i > 1)
     budget = procs
+    # makespans found by the idle-processor cut, Graham's bound at order[k],
+    # Graham's bound mid-walk, and a walk to the end
+    routes = [0, 0, 0, 0]
 
-    def makespan() -> Tuple[int, int]:
-        """c_max of the LPT pass for the current P_i, as (numerator, denominator)."""
-        j = longest()
-        # every task runs somewhere, so c_max >= W_j/P_j.  It is exactly
-        # W_j/P_j when the idle processors cover the sequential tasks (each
-        # then runs alone from time 0), or when Graham's bound caps it.
-        if n - k <= budget or reach[k] * pi[j] <= procs * workloads[j]:
-            return workloads[j], pi[j]
-        r = bisect_right(ends, k)
-        return _lpt_makespan(classes, runs, r, ends[r] - k, procs)
+    def makespan(j: int) -> Tuple[int, int]:
+        """c_max of the LPT pass for the current P_i, as (numerator, denominator).
+
+        j is a task of the longest duration, so c_max >= W_j/P_j.  It is
+        exactly W_j/P_j when the idle processors cover the sequential tasks
+        (each then runs alone from time 0), or when Graham's bound caps it.
+        """
+        w, p = workloads[j], pi[j]
+        if n - k <= budget:
+            routes[0] += 1
+            return w, p
+        if reach[r] * p <= procs * w:
+            routes[1] += 1
+            return w, p
+        top, den, cut = _lpt_makespan(classes, runs, r, ends[r] - k, procs, reach, (w, p))
+        routes[2 if cut else 3] += 1
+        return top, den
 
     # makespans are (numerator, denominator) pairs, compared cross-multiplied
-    cur_top, cur_den = makespan()
+    i = longest()
+    cur_top, cur_den = makespan(i)
     best_top, best_den = cur_top, cur_den
-    best_pi, best_k = list(pi), k
+    # (task, P_i before) per step taken; the best schedule is log[:best_steps]
+    log: List[Tuple[int, int]] = []
+    best_steps = best_k = 0
 
     iterations = 0
     restricted = False
     stop_reason = "budget"
     while budget > 0:
         iterations += 1
-        i = longest()
         w, p = workloads[i], pi[i]
         if cutoff is None or p < cutoff:
             d = 1
@@ -420,40 +476,51 @@ def part_schedule(
         if budget < 0:
             stop_reason = "overdraw"
             break
-        entry = _Longer(w, p + d, ids[i], i)
+        log.append((i, p))
         if p == 1:
             k += 1
-            heapq.heappush(parallel, entry)
+            if k == ends[r]:
+                r += 1
+            heapq.heappush(parallel, _Longer(w, 1 + d, ids[i], i))
         else:
-            heapq.heapreplace(parallel, entry)
+            # i is the heap's top, and growing it only shortens it
+            top = parallel[0]
+            top.p = p + d
+            size = len(parallel)
+            if (size > 1 and parallel[1] < top) or (size > 2 and parallel[2] < top):
+                heapq.heapreplace(parallel, top)
             if classes[w, p] == 1:
                 del classes[w, p]
             else:
                 classes[w, p] -= 1
         classes[w, p + d] = classes.get((w, p + d), 0) + 1
         pi[i] = p + d
-        top, den = makespan()
+        i = longest()
+        top, den = makespan(i)
         if top * cur_den > cur_top * den:
             stop_reason = "worse"
             break
         cur_top, cur_den = top, den
         if top * best_den < best_top * den:
             best_top, best_den = top, den
-            best_pi, best_k = list(pi), k
+            best_steps, best_k = len(log), k
 
+    for i, p in reversed(log[best_steps:]):
+        pi[i] = p
     # the placement's makespan is best_top / best_den: the same LPT pass.  Its
     # sequential tasks are order[best_k:], already longest first; only the
     # parallel prefix is sorted again, by W_i/P_i.
-    scale = lcm(*(best_pi[i] for i in order[:best_k]))
-    lpt = sorted(order[:best_k], key=lambda i: (-workloads[i] * (scale // best_pi[i]), ids[i]))
-    schedule, (top, den) = _lpt_place(tasks, best_pi, lpt + order[best_k:], procs, None)
+    scale = lcm(*(pi[i] for i in order[:best_k]))
+    lpt = sorted(order[:best_k], key=lambda i: (-workloads[i] * (scale // pi[i]), ids[i]))
+    schedule, (top, den) = _lpt_place(orders, pi, lpt, order[best_k:], procs, None)
     return ScheduleResult(
         schedule=schedule,
         c_max=Fraction(top, den),
-        procs_per_task=tuple(best_pi),
+        procs_per_task=tuple(pi),
         iterations_taken=iterations,
         restricted=restricted,
         stop_reason=stop_reason,
+        routes=tuple(routes),
     )
 
 

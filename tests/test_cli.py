@@ -520,6 +520,36 @@ def test_golden_sweep_digests(kind, procs, tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SWEEPS[(kind, procs)]
 
 
+# sha256 of `schedule` stdout followed by its --csv file.  `schedule` prints
+# every processor's finish time, so these pin the LPT placement more tightly
+# than a sweep does.  Recorded before the placement held one int key per
+# processor and the LPT walk stopped at Graham's bound mid-walk.
+GOLDEN_SCHEDULE_GEN_ARGS = {
+    "random": ("--objects", "1500", "--edges", "50:1500", "--seed", "0"),
+}
+GOLDEN_SCHEDULES = {
+    ("srr", "1000", "proposed"): "8bd958f1792b5dee36428d1c66e1a263c2ec18ae4c5d7b76a5ec2a9d5c210a26",
+    ("srr", "1000", "any-pi"): "c72d2beb79cd6e42649d1cb39217adf6db06c97b9aa1bdbccb2090e784e016d8",
+    ("interposer", "640", "proposed"): "bfb865289f363d59a45c67c16cd9c03f766b462f650eafc1d180a99dbcc26b56",
+    ("interposer", "640", "any-pi"): "24ba184f4a88409bbb9342a49f63c84988349eb8f1f235ff7b15e6fcda32e158",
+    ("random", "1000", "proposed"): "63a3479496b6151c90070e72a3d8b402197fabf36af321b11d419f84b23ce1d3",
+    ("random", "1000", "any-pi"): "38b1012cf05963dba1682effa0c314ff017d40417f2ba305607500ac16de77fc",
+}
+
+
+@pytest.mark.parametrize("kind, procs, strategy", sorted(GOLDEN_SCHEDULES))
+def test_golden_schedule_digests(kind, procs, strategy, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    gen_args = GOLDEN_SCHEDULE_GEN_ARGS.get(kind, ())
+    assert run_cli(capsys, "gen", kind, *gen_args, "-o", str(path))[0] == 0
+    csv = tmp_path / "tasks.csv"
+    code, out, _ = run_cli(capsys, "schedule", str(path), "--procs", procs,
+                           "--strategy", strategy, "--csv", str(csv))
+    assert code == 0
+    text = out + csv.read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SCHEDULES[(kind, procs, strategy)]
+
+
 # sha256 of the benchmark's random no-redist sweep, which never schedules:
 # partition_external and the owner-group passes make every row.  Recorded
 # before the partitioner held one int key per process.

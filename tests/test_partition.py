@@ -665,10 +665,23 @@ def empty_and_whole(edges, procs):
     return max(procs - takers, 0), sum(1 for e in edges if 0 < e and e * procs <= total)
 
 
+def straddles(edges, procs):
+    """True if a split object takes the last empty processes and loaded ones too."""
+    total = sum(edges)
+    taken = 0
+    for e in sorted((e for e in edges if e * procs > total), reverse=True):
+        k = min(-(-e * procs // total), e, procs)
+        if taken < procs < taken + k:
+            return True
+        taken += k
+    return False
+
+
 @st.composite
 def phase_boundary_cases(draw):
     """Edges and P with fewer, as many or more empty processes after the
-    split objects than there are whole objects.
+    split objects than there are whole objects, or with a split object
+    whose takers are part empty, part loaded.
 
     A whole object holds at most the target T = total / P, and a split one
     of e edges takes ceil(e / T) processes unless that exceeds e, which
@@ -678,9 +691,17 @@ def phase_boundary_cases(draw):
     k * T edges and P - sum(k) whole objects of T edges each; cutting one
     of those into smaller whole objects gives fewer.  With the scale,
     edges and loads go beyond 2**53.
+
+    The last: two objects of e edges on an odd P = 2q + 1 <= 2e.  Each is
+    cut into q + 1 chunks, so the second takes the q empty processes left
+    and one loaded process.
     """
-    regime = draw(st.sampled_from(["fewer", "as many", "more"]))
-    if regime == "more":
+    regime = draw(st.sampled_from(["fewer", "as many", "more", "straddle"]))
+    if regime == "straddle":
+        q = draw(st.integers(1, 6))
+        procs = 2 * q + 1
+        edges = [draw(st.integers(q + 1, 40)) * draw(st.sampled_from([1, 2**53 + 1]))] * 2
+    elif regime == "more":
         edges = draw(st.lists(st.integers(0, 5), min_size=1, max_size=8).filter(any))
         procs = sum(edges) + draw(st.integers(1, 20))
     else:
@@ -702,5 +723,6 @@ def phase_boundary_cases(draw):
 def test_property_partition_phases_match_dense_reference(case):
     edges, procs, regime = case
     empty, whole = empty_and_whole(edges, procs)
-    assert {"fewer": empty < whole, "as many": empty == whole, "more": empty > whole}[regime]
+    assert {"fewer": empty < whole, "as many": empty == whole, "more": empty > whole,
+            "straddle": straddles(edges, procs)}[regime]
     assert_partition_matches_reference(objects_of(edges), procs)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import moldsched as ms
-from moldsched.model import check_schedule
+from moldsched.model import TaskOrders, check_schedule
 
 
 def make_tasks(durations):
@@ -302,6 +302,10 @@ def assert_matches_reference(tasks, procs, cutoff):
     assert result.iterations_taken == iterations, (procs, cutoff)
     assert result.schedule.rows == rows, (procs, cutoff)
     check_schedule(result.schedule, tasks, procs)
+    # one makespan before the loop and one per rebuild; a step stopped
+    # before its rebuild (not-longest, overdraw) makes none
+    rebuilds = iterations - (stop_reason in ("not-longest", "overdraw"))
+    assert sum(result.routes) == rebuilds + 1, (procs, cutoff)
 
 
 class TestFastPathEquivalence:
@@ -336,6 +340,17 @@ class TestFastPathEquivalence:
         tasks.reverse()
         assert_matches_reference(tasks, 3, None)
         assert ms.ideal_length(tasks, 2) == Fraction(24, 2)
+
+    def test_last_ahead_is_the_prefix_sum_before_each_runs_last_task(self, srr):
+        rng = random.Random(3)
+        drawn = [ms.TaskSpec(i, rng.choice([0, 3, 7, 7, 9, 40])) for i in range(60)]
+        for tasks in (srr.tasks(), drawn):
+            shuffled = tuple(rng.sample(tasks, len(tasks)))
+            orders = TaskOrders.of(shuffled)
+            prefix = [0]
+            for i in orders.order:
+                prefix.append(prefix[-1] + shuffled[i].workload)
+            assert orders.last_ahead == [prefix[end - 1] for end in orders.ends]
 
     def test_parallel_ties_go_to_the_lowest_id(self):
         # parallel tasks of equal W/P but different P_i: growing the
@@ -382,6 +397,24 @@ class TestStopReason:
 
     def test_lpt_takes_no_steps(self):
         assert ms.lpt_schedule(make_tasks([5, 5]), 1).stop_reason == "none"
+
+
+class TestMakespanRoutes:
+    def test_each_route_once(self):
+        # all P_i 1: four tasks on four processors, the idle-processor cut.
+        # Task 0 on 2: Graham's bound at the 1 gives 4/2.  On 3: the 1 is
+        # placed, then the bound covers the 0s and gives 4/3, mid-walk.  On
+        # 4: the walk ends at 2 > 4/3, and the loop stops, worse.
+        result = ms.part_schedule(make_tasks([4, 0, 0, 1]), 4, None)
+        assert result.routes == (1, 1, 1, 1)
+        assert (result.procs_per_task, result.stop_reason) == ((3, 1, 1, 1), "worse")
+
+    def test_mid_walk_exit_on_srr(self, srr):
+        result = ms.part_schedule(srr.tasks(), 1000, 20)
+        assert result.routes[2] > 0
+
+    def test_lpt_finds_no_makespan_by_route(self):
+        assert ms.lpt_schedule(make_tasks([5, 5]), 1).routes == (0, 0, 0, 0)
 
 
 def reference_lpt_makespan(parallel, runs, procs):
@@ -438,6 +471,27 @@ def makespan_cases(draw):
     return classes, runs, r, first, procs
 
 
+def graham_reach(classes, runs, r, first, procs):
+    """reach and a longest (W, P), as ``part_schedule`` hands them to ``_lpt_makespan``.
+
+    Taken per task: the workload ahead of a sequential task is the parallel
+    tasks' plus that of the sequential tasks before it, and reach[q] is the
+    largest Graham bound, ahead + P * W, over the tasks of runs[q:] (for
+    q < r, that of runs[r:]).  The longest is over the parallel classes and
+    the sequential tasks; (0, 1) when there is no task.
+    """
+    ahead = sum(w * c for (w, _), c in classes.items())
+    bound = [0] * len(runs)
+    longest = [(0, 1)] + list(classes)
+    for q, w, m in [(r, runs[r][0], first)] + [(q, w, m) for q, (w, m) in enumerate(runs) if q > r]:
+        for _ in range(m):
+            bound[q] = max(bound[q], ahead + procs * w)
+            ahead += w
+            longest.append((w, 1))
+    reach = [max(bound[max(q, r):]) for q in range(len(runs))]
+    return reach, max(longest, key=lambda wk: Fraction(*wk))
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=makespan_cases())
 # three tasks of one class make one bucket of 6 processors; the run of 4 splits it
@@ -446,11 +500,26 @@ def makespan_cases(draw):
 @example(case=({(0, 3): 2, (12, 4): 1}, [(5, 2), (3, 9)], 0, 1, 12))
 # no idle processors, and no sequential task at all
 @example(case=({(30, 2): 2, (35, 5): 1}, [(7, 3)], 0, 0, 9))
+# the bound passes mid-walk: the 20s end at 20 <= 30, and the 1s fit under 30
+@example(case=({(60, 2): 2}, [(20, 2), (1, 3)], 0, 2, 6))
+# the bound would pass before the 0, but a placed finish, 20 + 20 = 40, exceeds 30 first
+@example(case=({(60, 2): 1}, [(20, 3), (0, 1)], 0, 3, 4))
+# the run of 20s straddles the exit: two are parallel, three split the idle
+# bucket, and the bound passes before the 1s, which would fill two buckets
+@example(case=({(60, 2): 2, (20, 2): 2}, [(20, 5), (1, 4)], 0, 3, 13))
 def test_property_class_makespan_matches_reference(case):
     classes, runs, r, first, procs = case
     parallel = [wk for wk, count in classes.items() for _ in range(count)]
     expected = reference_lpt_makespan(parallel, [(runs[r][0], first)] + runs[r + 1:], procs)
-    assert ms.sched._lpt_makespan(classes, runs, r, first, procs) == expected
+    reach, longest = graham_reach(classes, runs, r, first, procs)
+    top, den, cut = ms.sched._lpt_makespan(classes, runs, r, first, procs, reach, longest)
+    w, p = longest
+    if any(reach[q] * p <= procs * w for q in range(r + 1, len(runs))):
+        # the exit may fire, and returns the longest (W_j, P_j): equal in value
+        assert Fraction(top, den) == Fraction(*expected)
+        assert not cut or (top, den) == longest
+    else:
+        assert (top, den, cut) == (*expected, False)
 
 
 # runs of equal values, zeros included, so LPT ties and equal-duration buckets occur
