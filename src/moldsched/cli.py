@@ -72,8 +72,24 @@ def _json_int(value, what: str) -> int:
 
 
 def scenario_from_json(text: str) -> Scenario:
-    """Parse a scenario document, rejecting unknown keys and mistyped values."""
-    doc = json.loads(text)
+    """Parse a scenario document, rejecting unknown keys and mistyped values.
+
+    A document nested deeper than the decoder recurses cannot be read, as
+    a truncated one cannot (``json.JSONDecodeError``).  An integer literal
+    longer than ``int`` parses is a number out of range
+    (``InvalidScenarioError``).
+    """
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("arrays or objects nested too deeply", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # the only other ValueError of json.loads: int() refuses the literal
+        raise InvalidScenarioError(
+            f"an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(doc, dict):
         raise InvalidScenarioError("scenario file must hold a JSON object")
     allowed = {"name", "objects", "machine", "cutoff", "iterations", "grid"}

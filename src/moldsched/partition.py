@@ -9,8 +9,11 @@ processes hold even shares of its object, and each object's shortfalls
 are filled from its surpluses, both read from one merge of the group
 with the object's pieces.
 
-Object ids double as 0-based indices of the partition's per-object pieces,
-so schedule task ids address an object's pieces directly.
+Both the matching and the pricing walk the schedule's rows, and read a
+row's tasks from the row itself; ``proc_assignment`` only tells a
+parallel task (on more than one row) from a sequential one.  Object ids
+double as 0-based indices of the partition's per-object pieces, so
+schedule task ids address an object's pieces directly.
 """
 
 from __future__ import annotations
@@ -133,16 +136,21 @@ def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAs
     row when it overlaps none.  The result is a bijection; the greedy
     order is deterministic but not globally optimal.
 
-    Rows holding the same parallel tasks form a class, and every row of a
-    class overlaps p by the same edges of those tasks, so a parallel
-    task's edges are counted once per class, not once per row.  (The
-    classes of an LPT schedule are its disjoint parallel groups.)  Process
-    p compares the free rows holding its sequential tasks, counted with
-    their class, and the lowest free row of each class it overlaps,
-    counted with the class alone.  Any other row of that class overlaps p
-    no more, at a higher index; and if p's sequential tasks add to the
-    lowest row, that row is already among the first candidates, with
-    more edges.
+    One pass over the rows in ascending index adds each sequential
+    slot's pieces to ``single[p][r]``, and keys each row by its parallel
+    tasks, a tuple c in slot order.  Rows with the same key form a class:
+    every row of a class overlaps p by the same edges of those tasks, so
+    the class's pieces are added to ``shared[p][c]`` once, at its first
+    row, and ``class_rows[c]`` lists its rows in ascending order.  (The
+    classes of an LPT schedule are its disjoint parallel groups.  Rows
+    holding the same parallel tasks in another slot order form another
+    class, with the same edges, which leaves the pick below as it is.)
+    Process p compares the free rows holding its sequential tasks,
+    counted with their class, and the lowest free row of each class it
+    overlaps, counted with the class alone.  Any other row of that class
+    overlaps p no more, at a higher index; and if p's sequential tasks
+    add to the lowest row, that row is already among the first
+    candidates, with more edges.
     """
     procs = partition.n_procs
     if schedule.n_procs != procs:
@@ -150,44 +158,36 @@ def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAs
             f"schedule has {schedule.n_procs} rows, partition has {procs} processes"
         )
 
-    held: Dict[int, List[int]] = {}
-    for tid, rows in schedule.proc_assignment.items():
-        if len(rows) > 1:
-            for r in rows:
-                held.setdefault(r, []).append(tid)
-    class_of: Dict[Tuple[int, ...], int] = {}
-    row_class = [-1] * procs
-    class_rows: List[List[int]] = []
-    for r in sorted(held):
-        c = class_of.setdefault(tuple(held[r]), len(class_rows))
-        if c == len(class_rows):
-            class_rows.append([])
-        class_rows[c].append(r)
-        row_class[r] = c
-    classes_of: Dict[int, List[int]] = {}
-    for tids, c in class_of.items():
-        for tid in tids:
-            classes_of.setdefault(tid, []).append(c)
-
     # per process: row -> edges of its sequential tasks, class -> edges of its parallel tasks
     single: List[Dict[int, int]] = [{} for _ in range(procs)]
-    shared: List[Dict[int, int]] = [{} for _ in range(procs)]
-    for tid, rows in schedule.proc_assignment.items():
-        pieces = partition.pieces[tid]
-        if len(rows) == 1:
-            (r,) = rows
-            for p, edges in pieces:
+    shared: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(procs)]
+    class_rows: Dict[Tuple[int, ...], List[int]] = {}
+    row_class: List[Tuple[int, ...]] = []
+    assigned = schedule.proc_assignment
+    for r, row in enumerate(schedule.rows):
+        tids = []
+        for tid in row:
+            if len(assigned[tid]) > 1:
+                tids.append(tid)
+                continue
+            for p, edges in partition.pieces[tid]:
                 own = single[p]
                 own[r] = own.get(r, 0) + edges
-        for c in classes_of.get(tid, ()):
-            for p, edges in pieces:
-                par = shared[p]
-                par[c] = par.get(c, 0) + edges
+        c = tuple(tids)
+        row_class.append(c)
+        if c:
+            rows = class_rows.setdefault(c, [])
+            rows.append(r)
+            if len(rows) == 1:  # the class's first row
+                for tid in c:
+                    for p, edges in partition.pieces[tid]:
+                        par = shared[p]
+                        par[c] = par.get(c, 0) + edges
 
     taken = [False] * procs
     # taken rows are never freed, so these only move up
     lowest_free = 0
-    lowest_in_class = [0] * len(class_rows)
+    lowest_in_class = dict.fromkeys(class_rows, 0)
     process_to_row = []
     achieved = []
     for p in range(procs):
@@ -233,37 +233,30 @@ def redistribution_cost(
     alpha_msg*messages + beta_edge*edges_moved); messages never exceeds
     P*(P-1).
 
-    A sequential task's process needs the whole object: every piece
-    (q, e) off that process sends its e edges.  The parallel tasks'
-    processes are found in ascending id by one walk over the processes,
-    each joining the parallel tasks of its row; a task's deficits and
-    surpluses then come from one merge of its group with the object's
-    pieces, which are sorted by process and hold at least one edge each.
+    One walk over the processes in ascending id reads the tasks of each
+    one's row.  A sequential task's process needs the whole object: every
+    piece (q, e) off that process sends its e edges.  A parallel task
+    appends the process to its group, so each group comes out in
+    ascending id.  A task's deficits and surpluses then come from one
+    merge of its group with the object's pieces, which are sorted by
+    process and hold at least one edge each.
     """
-    row_owner = assignment.row_to_process()
+    rows = schedule.rows
+    assigned = schedule.proc_assignment
     edges_moved = 0
     pairs = set()
-    held: Dict[int, List[List[int]]] = {}
-    parallel = []
-    for tid, rows in schedule.proc_assignment.items():
-        pieces = partition.pieces[tid]
-        if len(rows) == 1:
-            (r,) = rows
-            p = row_owner[r]
-            for q, e in pieces:
+    groups: Dict[int, List[int]] = {}
+    for p, r in enumerate(assignment.process_to_row):
+        for tid in rows[r]:
+            if len(assigned[tid]) > 1:
+                groups.setdefault(tid, []).append(p)
+                continue
+            for q, e in partition.pieces[tid]:
                 if q != p:
                     edges_moved += e
                     pairs.add((q, p))
-            continue
-        group: List[int] = []
-        parallel.append((group, pieces))
-        for r in rows:
-            held.setdefault(r, []).append(group)
-    if held:
-        for p, r in enumerate(assignment.process_to_row):
-            for group in held.get(r, ()):
-                group.append(p)
-    for group, pieces in parallel:
+    for tid, group in groups.items():
+        pieces = partition.pieces[tid]
         total = 0
         for _, e in pieces:
             total += e

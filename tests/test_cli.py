@@ -119,6 +119,11 @@ BAD_SCENARIOS = {
     "huge edges": '{"name": "x", "objects": [{"id": 0, "edges": %d}]}' % 10**200,
     "huge grid": '{"name": "x", "objects": [{"id": 0, "edges": 7}], '
                  '"grid": [%d, %d, 1]}' % (10**200, 10**200),
+    # longer than int() parses from a string (4300 digits by default); "%d" % 10**5000
+    # would raise the same error, so the literal is built as text
+    "long edges literal": '{"name": "x", "objects": [{"id": 0, "edges": 1%s}]}' % ("0" * 5000),
+    "long cutoff literal": '{"name": "x", "objects": [{"id": 0, "edges": 7}], '
+                           '"cutoff": 1%s}' % ("0" * 5000),
 }
 
 
@@ -190,6 +195,8 @@ UNPARSABLE_FILES = {
     "truncated": b'{"name": "x", "objects": [{"id": 0, "edges": 5}',
     "empty": b"",
     "not utf-8": b'{"name": "\xff", "objects": []}',
+    # deeper than the decoder recurses
+    "deeply nested": b"[" * 100_000 + b"]" * 100_000,
 }
 
 

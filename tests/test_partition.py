@@ -532,6 +532,19 @@ class TestAgainstDenseReference:
         schedule = ms.lpt_schedule([ms.TaskSpec(0, 100, 3)], 3).schedule
         assert_matches_reference(schedule, part, machine)
 
+    def test_same_parallel_tasks_in_other_slot_orders(self):
+        # parallel tasks 0 and 1 run on rows 0-2, and sequential task 2 on row 3;
+        # with row 1's slots swapped, rows 0 and 2 form one class and row 1
+        # another, of equal overlaps: process 2 ties rows 1 and 2 and takes row 1
+        assignment = {0: frozenset((0, 1, 2)), 1: frozenset((0, 1, 2)), 2: frozenset((3,))}
+        tasks = [ms.TaskSpec(0, 3, 3), ms.TaskSpec(1, 3, 3), ms.TaskSpec(2, 1)]
+        part = dense_partition(np.array([[0, 0, 5], [1, 2, 0], [0, 1, 0], [4, 0, 1]]))
+        for rows in (((0, 1), (1, 0), (0, 1), (2,)), ((0, 1),) * 3 + ((2,),)):
+            schedule = ms.Schedule.packed(rows, assignment, tasks)
+            got = ms.assign_task_lists(schedule, part)
+            assert got == TaskListAssignment((3, 0, 1, 2), (5, 3, 1, 4))
+            assert_matches_reference(schedule, part, ms.MachineModel())
+
 
 @st.composite
 def hand_built_cases(draw):
@@ -563,8 +576,10 @@ def grouped_cases(draw):
 
     Sequential tasks sit on group rows and on plain rows; sometimes a
     second parallel task shares a group's rows, or spans one group row and
-    a plain row.  One process owns as much of group 0's task as of a plain
-    row's task and nothing else, so its overlaps with both tie.
+    a plain row.  Each row's slots come in a drawn order, so rows holding
+    the same parallel tasks may hold them in different orders.  One process
+    owns as much of group 0's task as of a plain row's task and nothing
+    else, so its overlaps with both tie.
     """
     procs = draw(st.integers(5, 12))
     perm = draw(st.permutations(range(procs)))
@@ -588,8 +603,9 @@ def grouped_cases(draw):
         for r in members:
             rows[r].append(tid)
         assignment[tid] = frozenset(members)
+    rows = [tuple(draw(st.permutations(row))) for row in rows]
     tasks = [ms.TaskSpec(tid, 1, len(members)) for tid, members in assignment.items()]
-    schedule = ms.Schedule.packed(tuple(map(tuple, rows)), assignment, tasks)
+    schedule = ms.Schedule.packed(tuple(rows), assignment, tasks)
 
     n = len(tasks)
     owned = np.array(draw(st.lists(
