@@ -479,13 +479,13 @@ class Scenario:
     def __post_init__(self):
         if not self.objects:
             raise InvalidScenarioError("a scenario needs at least one object")
-        if sorted(o.id for o in self.objects) != list(range(len(self.objects))):
-            raise InvalidScenarioError("object ids must be the indices 0..N-1")
+        # checks the ids, once per objects tuple
+        orders = ObjectOrders.of(self.objects)
         if self.iterations < 1:
             raise InvalidScenarioError("iterations must be >= 1")
         if self.cutoff < 1:
             raise InvalidScenarioError("cutoff must be >= 1")
-        if not _fits_float(sum(o.edges * o.edges for o in self.objects)):
+        if not _fits_float(sum(orders.workloads)):
             raise InvalidScenarioError("total workload (edges squared) is too large for a float")
 
     def tasks(self) -> Tuple[TaskSpec, ...]:

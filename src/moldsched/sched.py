@@ -231,11 +231,14 @@ def _lpt_makespan(
     and then ``runs[r + 1:]``; a run (W, m) is m tasks of equal workload
     W.  Processors with equal finish times are interchangeable, so the
     heap holds (F, count) buckets of them: one per class, (W * denom / P,
-    count * P), and one for the idle processors.  A run takes the least-F
-    bucket whole, or splits it, exactly where m single placements would
-    put its tasks, in one heap step per bucket.  A call costs O(classes +
-    runs), however many tasks the classes hold.  The makespan is top /
-    denom, with denom the lcm of the distinct P_i.
+    count * P).  The idle processors finish at 0, no later than any class
+    bucket, so the runs that fit in them take one bucket each with no
+    heap step, and a run that straddles their count is cut there.  After
+    that, a run takes the least-F bucket whole, or splits it, exactly
+    where m single placements would put its tasks, in one heap step per
+    bucket.  A call costs O(classes + runs), however many tasks the
+    classes hold.  The makespan is top / denom, with denom the lcm of the
+    distinct P_i.
 
     The walk stops early at Graham's bound.  ``longest`` is (W_j, P_j) of
     a task of the longest duration, so the makespan is at least W_j/P_j,
@@ -250,12 +253,31 @@ def _lpt_makespan(
     denom = lcm(*(k for _, k in classes))
     buckets = [(w * (denom // k), c * k) for (w, k), c in classes.items()]
     idle = procs - sum(c for _, c in buckets)
-    if idle:
-        buckets.append((0, idle))
-    heapq.heapify(buckets)
+    top = max(buckets)[0] if buckets else 0
     # the first q > r with reach[q] <= P * W_j / P_j (reach is an int)
     g = bisect_left(reach, -(procs * w_j // p_j), r + 1, key=neg)
-    for q, (w, m) in enumerate(chain(((runs[r][0], first),), islice(runs, r + 1, None)), r):
+    walk = chain(((runs[r][0], first),), islice(runs, r + 1, None))
+    # the runs that fit in the idle processors; top is the largest finish so far
+    for q, (w, m) in enumerate(walk, r):
+        if q == g and top * p_j <= w_j * denom:
+            return w_j, p_j, True
+        if m > idle:
+            break
+        if m:
+            s = w * denom
+            buckets.append((s, m))
+            top = max(top, s)
+            idle -= m
+    else:
+        return top, denom, False
+    # the run that straddles the idle count fills them, and the rest of it
+    # goes through the heap (testing it again is harmless: its finish
+    # times only grew since it failed)
+    if idle:
+        buckets.append((w * denom, idle))
+        m -= idle
+    heapq.heapify(buckets)
+    for q, (w, m) in enumerate(chain(((w, m),), walk), q):
         if q == g and max(buckets)[0] * p_j <= w_j * denom:
             return w_j, p_j, True
         s = w * denom

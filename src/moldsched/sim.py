@@ -8,13 +8,16 @@ internal-problem phase.  Internal tasks are priced in seconds with a
 approximate-square restriction avoids.
 
 The no-redist baseline runs each object's task on the processes that
-own its pieces (owner-computes).  Its schedule is priced twice per
-cell: in float seconds for the report and in exact work units for the
-normalized length.  Which processes each task blocks, and the order in
-which one process's tasks start, are the same for both, so they are
-read from the pieces once per partition and objects tuple, into an
-``_OwnerPlan`` kept while the partition lives, and each pass replays it
-with its own durations.
+own its pieces (owner-computes), all of them starting together.  Its
+schedule is priced twice per cell: in float seconds for the report and
+in exact work units for the normalized length.  Which processes each
+task blocks, and the order in which one process's tasks start, are the
+same for both, so they are read from the pieces once per partition and
+objects tuple, into an ``_OwnerPlan`` kept while the partition lives,
+and each pass replays it with its own durations.  The split objects
+join the processes they touch into independent groups that never delay
+one another, so a pass replays each group on its own, with the same
+result as one schedule over all processes.
 """
 
 from __future__ import annotations
@@ -148,35 +151,78 @@ class _OwnerPlan:
     The single-owner tasks of one process share its ready time, so they
     start in (-W, position) order.  An unshared process runs them back to
     back from 0: its free and busy times are the running sum of their
-    durations, added in that order.  ``starts`` is the initial heap of
-    the shared part: every split task and the first task of each queue.
+    durations, added in that order.
+
+    The split objects join the processes they touch into independent
+    groups (connected components), which the walk labels as it goes.  No
+    task spans two groups, so none delays another, and each group is
+    replayed on a heap of its own.  ``heaps`` holds each group's initial
+    heap: its split tasks and the first task of each of its queues.
+    ``lone`` holds (position, processes) of each group that is one split
+    task with no queue: it starts at 0 and needs no heap.
     """
 
-    __slots__ = ("procs", "workloads", "split", "queues", "unshared", "starts")
+    __slots__ = ("procs", "workloads", "split", "queues", "unshared", "heaps", "lone")
 
     def __init__(self, objects: Sequence[Object], partition: PartitionMap):
         orders = ObjectOrders.of(objects)
         live_ids, pieces = orders.live_ids, partition.pieces
-        self.procs = partition.n_procs
+        self.procs = procs = partition.n_procs
         self.workloads = workloads = orders.workloads
-        own: List[List[int]] = [[] for _ in range(self.procs)]
-        shared = set()
+        own: List[List[int]] = [[] for _ in range(procs)]
+        # the group of each process some split object touches, else -1, and
+        # each group's heap keys, None once merged into another.  Heap keys
+        # (ready, -W, position) are distinct, so no group is ever compared.
+        label = [-1] * procs
+        keys: List[Optional[list]] = []
         self.split = split = []
         for i in orders.by_workload:
             owners = pieces[live_ids[i]]
             if len(owners) == 1:
                 own[owners[0][0]].append(i)
+                continue
+            g = [p for p, _ in owners]
+            split.append((i, g))
+            key = (0, -workloads[i], i, g)
+            found = set(map(label.__getitem__, g))
+            found.discard(-1)
+            if found:
+                # the groups it touches merge, each time the one with fewer
+                # tasks into the other; a group's processes are those of its
+                # split tasks, so these are relabelled
+                c = found.pop()
+                for x in found:
+                    if len(keys[x]) > len(keys[c]):
+                        c, x = x, c
+                    for _, _, _, h in keys[x]:
+                        for p in h:
+                            label[p] = c
+                    keys[c] += keys[x]
+                    keys[x] = None
+                keys[c].append(key)
             else:
-                g = [p for p, _ in owners]
-                split.append((i, g))
-                shared.update(g)
-        self.queues = {p: own[p] for p in shared if own[p]}
-        self.unshared = [(p, q) for p, q in enumerate(own) if q and p not in shared]
-        # heap keys (ready, -W, position) are distinct, so the group is never compared
-        starts = [(0, -workloads[i], i, g) for i, g in split]
-        starts += [(0, -workloads[q[0]], q[0], p) for p, q in self.queues.items()]
-        heapq.heapify(starts)
-        self.starts = starts
+                c = len(keys)
+                keys.append([key])
+            for p in g:
+                label[p] = c
+        self.queues = queues = {}
+        self.unshared = unshared = []
+        for p, q in enumerate(own):
+            if not q:
+                continue
+            c = label[p]
+            if c < 0:
+                unshared.append((p, q))
+            else:
+                queues[p] = q
+                keys[c].append((0, -workloads[q[0]], q[0], p))
+        self.lone, self.heaps = [], []
+        for group in filter(None, keys):
+            if len(group) == 1:
+                self.lone.append(group[0][2:])
+            else:
+                heapq.heapify(group)
+                self.heaps.append(group)
 
     @classmethod
     def of(cls, objects: Sequence[Object], partition: PartitionMap) -> "_OwnerPlan":
@@ -195,11 +241,14 @@ class _OwnerPlan:
     def replay(self, durations: Sequence):
         """(makespan, per-process busy time) with these per-position durations.
 
-        Works for float or integer durations.  Only the split tasks and
-        the next queued task of each shared process wait in the heap; a
-        started queued task pushes its successor at the new free time.
-        Heap keys are lazy: a popped key below its processes' ready time
-        is pushed back with the current one.  Each call runs its own heap.
+        Works for float or integer durations.  Each group runs to the end
+        on its own heap, in which only its split tasks and the next queued
+        task of each of its processes wait; a started queued task pushes
+        its successor at the new free time.  Heap keys are lazy: a popped
+        key below its processes' ready time is pushed back with the
+        current one.  Groups share no process, so each process sees its
+        tasks start, and its free and busy times grow, exactly as in one
+        heap over all groups.
         """
         free = [0] * self.procs
         busy = [0] * self.procs
@@ -208,35 +257,40 @@ class _OwnerPlan:
             for i in positions:
                 f += durations[i]
             free[p] = busy[p] = f
+        for i, g in self.lone:
+            end = 0 + durations[i]  # as a start at 0 adds it: -0.0 becomes 0.0
+            for p in g:
+                free[p] = busy[p] = end
         workloads, queues = self.workloads, self.queues
         nxt = dict.fromkeys(queues, 1)
-        heap = self.starts.copy()
         pop, push = heapq.heappop, heapq.heappush
-        while heap:
-            ready, negw, i, g = pop(heap)
-            if type(g) is int:
-                cur = free[g]
-                if cur != ready:
-                    push(heap, (cur, negw, i, g))
-                    continue
-                d = durations[i]
-                free[g] = end = ready + d
-                busy[g] += d
-                q, k = queues[g], nxt[g]
-                if k < len(q):
-                    nxt[g] = k + 1
-                    j = q[k]
-                    push(heap, (end, -workloads[j], j, g))
-            else:
-                cur = max([free[p] for p in g])
-                if cur != ready:
-                    push(heap, (cur, negw, i, g))
-                    continue
-                d = durations[i]
-                end = ready + d
-                for p in g:
-                    free[p] = end
-                    busy[p] += d
+        for starts in self.heaps:
+            heap = starts.copy()
+            while heap:
+                ready, negw, i, g = pop(heap)
+                if type(g) is int:
+                    cur = free[g]
+                    if cur != ready:
+                        push(heap, (cur, negw, i, g))
+                        continue
+                    d = durations[i]
+                    free[g] = end = ready + d
+                    busy[g] += d
+                    q, k = queues[g], nxt[g]
+                    if k < len(q):
+                        nxt[g] = k + 1
+                        j = q[k]
+                        push(heap, (end, -workloads[j], j, g))
+                else:
+                    cur = max([free[p] for p in g])
+                    if cur != ready:
+                        push(heap, (cur, negw, i, g))
+                        continue
+                    d = durations[i]
+                    end = ready + d
+                    for p in g:
+                        free[p] = end
+                        busy[p] += d
         return max(free, default=0), busy
 
 

@@ -507,6 +507,13 @@ def graham_reach(classes, runs, r, first, procs):
 # the run of 20s straddles the exit: two are parallel, three split the idle
 # bucket, and the bound passes before the 1s, which would fill two buckets
 @example(case=({(60, 2): 2, (20, 2): 2}, [(20, 5), (1, 4)], 0, 3, 13))
+# no task left in the first run: it adds no bucket
+@example(case=({}, [(1, 1)], 0, 0, 1))
+# two runs fill three of the five idle processors, and the walk ends there
+@example(case=({}, [(9, 2), (8, 1)], 0, 2, 5))
+# the run of 8s straddles the idle count: one fills the last idle processor,
+# the other two go through the heap, to 8 + 8 and 9 + 8 = 17 = 34 / 2
+@example(case=({(30, 2): 1}, [(9, 2), (8, 3)], 0, 2, 5))
 def test_property_class_makespan_matches_reference(case):
     classes, runs, r, first, procs = case
     parallel = [wk for wk, count in classes.items() for _ in range(count)]
@@ -520,6 +527,17 @@ def test_property_class_makespan_matches_reference(case):
         assert not cut or (top, den) == longest
     else:
         assert (top, den, cut) == (*expected, False)
+
+
+def test_graham_exit_at_a_run_inside_the_idle_processors():
+    # ten processors, two hold the 60/2: the 29 and the 5 fit in the idle
+    # ones, and at the 5 the bound caps every finish at 30, so the walk
+    # stops before the twenty 1s, which would straddle the idle count
+    classes, runs = {(60, 2): 1}, [(29, 1), (5, 1), (1, 20)]
+    reach, longest = graham_reach(classes, runs, 0, 1, 10)
+    assert longest == (60, 2) and reach[0] * 2 > 10 * 60 >= reach[1] * 2
+    assert ms.sched._lpt_makespan(classes, runs, 0, 1, 10, reach, longest) == (60, 2, True)
+    assert reference_lpt_makespan([(60, 2)], runs, 10) == (60, 2)
 
 
 # runs of equal values, zeros included, so LPT ties and equal-duration buckets occur

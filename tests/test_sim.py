@@ -250,7 +250,9 @@ class TestOwnerGroups:
         assert plan.split == [(1, [1, 2])]
         assert plan.queues == {1: [2]}
         assert plan.unshared == [(0, [0, 4, 3])]
-        assert sorted(plan.starts) == [(0, -36, 1, [1, 2]), (0, -25, 2, 1)]
+        # p1 and p2 form one group; its heap starts the split task and p1's queue
+        assert [sorted(h) for h in plan.heaps] == [[(0, -36, 1, [1, 2]), (0, -25, 2, 1)]]
+        assert plan.lone == []
 
     def test_follow_the_order_of_the_objects(self):
         objs = [ms.Object(0, 7), ms.Object(1, 0), ms.Object(2, 9)]
@@ -352,16 +354,20 @@ def owner_groups(objects, partition):
     return [[p for p, _ in partition.pieces[o.id]] for o in objects if o.edges > 0]
 
 
-def assert_schedule_matches_reference(groups, edges, durations, procs):
-    """Replay the plan of objects 0..n-1 (edges > 0), object i on groups[i].
+def plan_of_groups(groups, edges, procs):
+    """The plan of objects 0..n-1 (edges > 0), object i on groups[i].
 
     The plan reads only which processes hold an object's pieces, so each
     piece is given one edge.
     """
     objects = tuple(ms.Object(i, e) for i, e in enumerate(edges))
     pieces = tuple(tuple((p, 1) for p in g) for g in groups)
-    plan = _OwnerPlan.of(objects, sparse_partition(procs, pieces))
-    got = plan.replay(durations)
+    return _OwnerPlan.of(objects, sparse_partition(procs, pieces))
+
+
+def assert_schedule_matches_reference(groups, edges, durations, procs):
+    """Replay the plan of ``plan_of_groups`` against the one-heap reference."""
+    got = plan_of_groups(groups, edges, procs).replay(durations)
     tasks = [ms.TaskSpec(i, e * e, len(g)) for i, (g, e) in enumerate(zip(groups, edges))]
     assert got == reference_simultaneity_schedule(groups, tasks, durations, procs)
 
@@ -412,9 +418,7 @@ class TestSimultaneitySchedule:
         edges = [2, 9, 5, 2, 3]
         durations = [1.0, 1e16, 4.0, 1.0, 2.0]
         assert_schedule_matches_reference(groups, edges, durations, 3)
-        objects = tuple(ms.Object(i, e) for i, e in enumerate(edges))
-        pieces = tuple(tuple((p, 1) for p in g) for g in groups)
-        plan = _OwnerPlan.of(objects, sparse_partition(3, pieces))
+        plan = plan_of_groups(groups, edges, 3)
         assert plan.unshared == [(0, [1, 0, 3])]
         makespan, busy = plan.replay(durations)
         assert makespan == busy[0] == 1e16
@@ -442,25 +446,102 @@ class TestSimultaneitySchedule:
             for durations in (seconds, [0] * len(edges)):
                 assert_schedule_matches_reference(groups, edges, durations, procs)
 
+    def test_groups_interleaving_in_the_one_heap_order(self):
+        # two independent groups, {0, 1} and {2, 3}, each with two split
+        # tasks and two queued ones; by workload their tasks alternate
+        # between the groups, so the one-heap reference pops them
+        # interleaved while the plan runs each group to the end in turn
+        groups = [[0, 1], [2, 3], [0], [3], [0, 1], [2, 3], [1], [2]]
+        edges = [10, 9, 8, 7, 6, 5, 4, 3]
+        plan = plan_of_groups(groups, edges, 4)
+        assert [sorted(k[2] for k in h) for h in plan.heaps] == [[0, 2, 4, 6], [1, 3, 5, 7]]
+        assert plan.lone == []
+        for durations in ([3, 5, 1, 2, 4, 1, 6, 2], [0.3, 0.5, 0.1, 0.2, 0.4, 0.1, 0.6, 0.2]):
+            assert_schedule_matches_reference(groups, edges, durations, 4)
+        # {0, 1}: the first split ends at 3, p1's queued task at 9, the second
+        # split then runs 9 to 13; {2, 3} ends at 8
+        assert plan.replay([3, 5, 1, 2, 4, 1, 6, 2]) == (13, [8, 13, 8, 8])
+
+    def test_lone_split_tasks(self):
+        # each split task is alone on its processes: no heap, both start at 0
+        groups = [[0, 1], [2, 3, 4], [5]]
+        edges = [4, 5, 3]
+        plan = plan_of_groups(groups, edges, 6)
+        assert (plan.heaps, plan.lone) == ([], [(1, [2, 3, 4]), (0, [0, 1])])
+        for durations in ([7, 2, 3], [0.7, 0.2, 0.3]):
+            assert_schedule_matches_reference(groups, edges, durations, 6)
+        # a start at 0 adds 0 + d, which turns a -0.0 into 0.0
+        makespan, busy = plan.replay([-0.0, -0.0, -0.0])
+        assert [math.copysign(1, t) for t in (makespan, *busy)] == [1] * 7
+
+
+OWNER_SCHEDULE_KINDS = ("independent", "chained", "lone", "queued")
+
 
 @st.composite
 def owner_schedules(draw):
-    """Random mixed single-owner and multi-process groups, many equal workloads."""
-    procs = draw(st.integers(1, 12))
+    """Random mixed single-owner and multi-process groups, many equal
+    workloads, with the owner groups of one of four kinds:
+
+    - independent: two or more process groups that no task joins;
+    - chained: a group joined through two or more split tasks;
+    - lone: a split task on processes that hold no other task;
+    - queued: a split task on a process that also holds single-owner tasks.
+
+    The kind is built on processes of its own, beside random tasks on the
+    others, and the rows are shuffled, so positions tie in any order.
+    """
+    kind = draw(st.sampled_from(OWNER_SCHEDULE_KINDS))
+    free = draw(st.integers(0, 12))
     group = st.one_of(
-        st.integers(0, procs - 1).map(lambda p: [p]),
-        st.lists(st.integers(0, procs - 1), min_size=1, max_size=procs, unique=True).map(sorted),
+        st.integers(0, max(free - 1, 0)).map(lambda p: [p]),
+        st.lists(st.integers(0, max(free - 1, 0)), min_size=1, max_size=max(free, 1),
+                 unique=True).map(sorted),
     )
-    n = draw(st.integers(0, 40))
-    row = st.tuples(group, st.integers(1, 30), st.integers(0, 20))
-    rows = draw(st.lists(row, min_size=n, max_size=n))
-    return [g for g, _, _ in rows], [e for _, e, _ in rows], [d for _, _, d in rows], procs
+    groups = draw(st.lists(group, max_size=40 if free else 0))
+    procs = free
+    if kind == "independent":
+        for _ in range(draw(st.integers(2, 3))):
+            size = draw(st.integers(2, 4))
+            block = list(range(procs, procs + size))
+            procs += size
+            groups.append(block)
+            groups += draw(st.lists(st.sampled_from(block).map(lambda p: [p]), max_size=3))
+    elif kind == "chained":
+        size = draw(st.integers(3, 5))
+        groups += [[procs + k, procs + k + 1] for k in range(size - 1)]
+        groups += draw(st.lists(st.integers(procs, procs + size - 1).map(lambda p: [p]),
+                                max_size=4))
+        procs += size
+    else:
+        size = draw(st.integers(2, 4))
+        groups.append(list(range(procs, procs + size)))
+        if kind == "queued":
+            groups += draw(st.lists(st.integers(procs, procs + size - 1).map(lambda p: [p]),
+                                    min_size=1, max_size=4))
+        procs += size
+    groups = draw(st.permutations(groups))
+    n = len(groups)
+    edges = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+    durations = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    return kind, groups, edges, durations, procs
 
 
-@settings(max_examples=200, deadline=None)
+def has_owner_schedule_kind(plan, kind):
+    if kind == "independent":
+        return len(plan.heaps) + len(plan.lone) >= 2
+    if kind == "chained":
+        return any(sum(type(k[3]) is list for k in h) >= 2 for h in plan.heaps)
+    if kind == "lone":
+        return bool(plan.lone)
+    return bool(plan.queues)
+
+
+@settings(max_examples=300, deadline=None)
 @given(case=owner_schedules())
 def test_property_simultaneity_schedule_matches_reference(case):
-    groups, edges, durations, procs = case
+    kind, groups, edges, durations, procs = case
+    assert has_owner_schedule_kind(plan_of_groups(groups, edges, procs), kind)
     assert_schedule_matches_reference(groups, edges, durations, procs)
     seconds = [d / 3 for d in durations]
     assert_schedule_matches_reference(groups, edges, seconds, procs)
