@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, groupby
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
 class SchedulingError(Exception):
@@ -110,11 +110,14 @@ class _PerTuple:
 
     ``of(items)`` returns them.  Each fact is a cached property, computed
     when first read, and shared by every caller: read it, never change
-    it.  The facts of the last tuple each subclass was asked about are
-    kept, with a strong reference to that tuple (so its id is never
-    reused while kept), and every P of a sweep reads the same ones.
-    Objects and tasks are frozen, so a tuple of them never changes; a
-    list may, so its facts are never kept.
+    it.  The one exception is ``TaskOrders.step_logs``, which the
+    scheduler grows: a log gains steps at its end when a larger P needs
+    them, but never rewrites a step it has logged, so every reader of a
+    step sees the same one.  The facts of the last tuple each subclass
+    was asked about are kept, with a strong reference to that tuple (so
+    its id is never reused while kept), and every P of a sweep reads the
+    same ones.  Objects and tasks are frozen, so a tuple of them never
+    changes; a list may, so its facts are never kept.
     """
 
     _last: Optional["_PerTuple"] = None
@@ -217,6 +220,11 @@ class TaskOrders(_PerTuple):
         """Workload ahead of each run's last task in ``order``."""
         runs = self.runs
         return [ahead - w for (w, _), ahead in zip(runs, accumulate(w * m for w, m in runs))]
+
+    @cached_property
+    def step_logs(self) -> Dict[Optional[int], object]:
+        """Part_Schedule's step log per cutoff, grown by ``sched.part_schedule``."""
+        return {}
 
 
 @dataclass(frozen=True, eq=False)

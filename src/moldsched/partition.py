@@ -41,12 +41,6 @@ class TaskListAssignment:
     process_to_row: Tuple[int, ...]
     overlap: Tuple[int, ...]
 
-    def row_to_process(self) -> Tuple[int, ...]:
-        inv = [0] * len(self.process_to_row)
-        for p, r in enumerate(self.process_to_row):
-            inv[r] = p
-        return tuple(inv)
-
 
 def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     """Greedy object-aware split of mesh edges over processes.

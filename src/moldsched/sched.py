@@ -7,18 +7,26 @@ integers, never on rounded floats.  There is one scheduling path, in
 pure Python.  The iterative scheduler carries its makespans as integer
 (numerator, denominator) pairs and compares W/P values by
 cross-multiplying; a ``Fraction`` is made once, for the returned c_max.
-A step logs the task it grew and its old P_i, and the steps past the
-best schedule are undone once, at the end, so no step copies the P_i.
+
+Which task the iterative scheduler grows, and by how much, does not
+depend on P: P only decides where its loop stops.  So its steps are
+logged once per task tuple and cutoff, as (task, old P_i, d), and every
+P of a sweep walks the same log, which grows at its end only when a
+larger P needs more steps.  The P_i of the best schedule are replayed
+from the log's prefix, so no step copies the P_i.
 
 It needs only the makespan of each rebuilt schedule.  It skips the
 rebuild when the makespan is the longest task's duration: when the idle
 processors are at least as many as the sequential tasks (each then runs
 alone from time zero), or when Graham's list-scheduling bound proves it.
-Graham's bound peaks at the last task of each run of equal sequential
+The first case holds while all P_i sum to at most P, and that sum grows
+with every step, so when P >= n the walk skips those steps with one
+bisect.  Graham's bound peaks at the last task of each run of equal sequential
 workloads, so it is kept per run, built in O(runs) per call from a fact
 of the task tuple (``TaskOrders.last_ahead``).  Otherwise it computes the
 makespan from buckets of equal finish times: it keeps the parallel tasks
-as a multiset of (W_i, P_i) classes, one bucket per class, so a rebuild
+as a multiset of (W_i, P_i) classes, one bucket per class, brought up to
+the current step only when a rebuild needs it, so a rebuild
 costs O(classes + runs of equal sequential workloads), not O(tasks).
 That walk stops, too, at the first run from which the bound covers the
 rest, when no finish placed so far exceeds the longest task's duration.
@@ -36,7 +44,7 @@ then are they made exact ``Fraction``s (see ``Schedule``).
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice
@@ -370,6 +378,55 @@ class _Longer:
         return a > b or (a == b and self.tid < other.tid)
 
 
+class _StepLog:
+    """Part_Schedule's steps for one task tuple and cutoff, shared by every P.
+
+    ``steps[s]`` is (i, p, d): after s steps the longest task is i (ties
+    to the lowest id), at P_i = p, and step s grows it to p + d.  Which
+    task grows, and by how much, reads the P_i and the cutoff only; P
+    decides only where the loop stops.  So every P walks one sequence of
+    steps, and a walk that takes the last logged step logs the next one;
+    no step is ever rewritten.  ``first_wide`` is the first step with
+    d > 1, once one is logged: a walk that takes it is restricted.
+
+    The frontier is the state before the last logged step: its P_i
+    (``pi``), and its parallel tasks in a heap, longest first
+    (``parallel``).  The parallel tasks are the prefix ``order[:k]`` of
+    the sequential LPT order, k the heap's size, and the longest
+    sequential task is ``order[k]``.
+
+    ``settled`` serves a P >= n from three lists with one entry per step
+    s logged, which it extends up to the last logged step: the sum of all
+    P_i after s steps (``sums``), the parallel task count (``ks``), and
+    the first step after which the longest duration was what it is after
+    s steps (``best``).
+    """
+
+    __slots__ = ("workloads", "steps", "first_wide", "pi", "parallel", "sums", "ks", "best",
+                 "__weakref__")
+
+    def __init__(self, orders: TaskOrders):
+        n = len(orders.order)
+        self.workloads = orders.workloads
+        # P_i = 1 is below any cutoff, or 1 -> 2 is the step to the next approximate square
+        self.steps = [(orders.order[0], 1, 1)]
+        self.first_wide: Optional[int] = None
+        self.pi = [1] * n
+        self.parallel: List[_Longer] = []
+        self.sums, self.ks, self.best = [n], [0], [0]
+
+    def settled(self, procs: int) -> int:
+        """The last logged s after which all P_i sum to at most procs (procs >= n)."""
+        steps, sums, ks, best, workloads = self.steps, self.sums, self.ks, self.best, self.workloads
+        for s in range(len(sums), len(steps)):
+            (i, p, d), (j, q, _) = steps[s - 1], steps[s]
+            sums.append(sums[-1] + d)
+            ks.append(ks[-1] + (p == 1))
+            # the longest duration never grows: it ties step s - 1's or falls below it
+            best.append(best[-1] if workloads[j] * p == workloads[i] * q else s)
+        return bisect_right(sums, procs) - 1
+
+
 def part_schedule(
     tasks: Sequence[TaskSpec],
     procs: int,
@@ -395,14 +452,32 @@ def part_schedule(
     ``stop_reason`` which test ended the loop, and its ``routes`` how each
     makespan was found.
 
-    The parallel tasks are always the longest-first prefix of the
-    sequential LPT order, and the loop keeps them both in a heap, for
-    the longest task, and as a multiset of (W_i, P_i) classes, for the
-    rebuild's makespan: a step adds one class entry or moves one to
-    another class.  Growing the heap's top only shortens it, so its P is
-    raised in place and it sinks only when a child now runs longer.  A
-    step logs (task, old P_i) instead of copying the P_i; the steps past
-    the best schedule are undone from the log once, at the end.
+    The steps do not depend on P, so they are logged once per task tuple
+    and cutoff (``TaskOrders.step_logs``, see ``_StepLog``), and a call
+    walks the log: it charges the budget, runs the stop tests, and finds
+    only the makespans this P needs.  The parallel tasks are always the
+    longest-first prefix of the sequential LPT order, and the rebuild's
+    makespan reads them as a multiset of (W_i, P_i) classes, brought up
+    to the current step only when a makespan needs it.
+
+    When P >= n, the walk skips the logged steps that the idle-processor
+    cut settles.  After s steps the budget is P less the parallel P_i,
+    and the cut holds when the n - k sequential tasks fit in it, that
+    is, when all P_i sum to at most P.  Each step adds its d >= 1 to that
+    sum, so the cut holds for a prefix of the steps, and one bisect over
+    the logged sums finds where it ends, or that it runs past the log.
+    Inside it the makespan is the longest task's duration, which no step
+    lengthens, and the budget covers the sequential tasks, so no step
+    there stops the loop as not-longest, overdraw or worse; the budget
+    runs out only at the prefix's end, when every task is parallel and
+    their P_i sum to P.  So the walk starts at the prefix's last logged
+    step, with the log's per-step sums, parallel counts and first-best
+    steps, and tests the cut at each step from there as before.
+
+    A walk that takes the last logged step takes it at the log's frontier
+    too, and logs the next one.  The placement replays the log's prefix
+    up to the best schedule into a fresh list of P_i, and runs one LPT
+    pass.
     """
     if not tasks:
         raise InvalidTaskError("part_schedule needs a nonempty task list")
@@ -419,9 +494,10 @@ def part_schedule(
     # runs of equal workloads in ``order``: (W, count), ending at ends[r]
     runs, ends = orders.runs, orders.ends
     n = len(tasks)
-    pi = [1] * n
-    # order[k] is the longest sequential task, in runs[r]
-    k = r = 0
+    log = orders.step_logs.get(cutoff)
+    if log is None:
+        log = orders.step_logs[cutoff] = _StepLog(orders)
+    steps, frontier, parallel = log.steps, log.pi, log.parallel
 
     # Graham: sequential task j finishes by (W_par + prefix_j)/P + W_j, and
     # W_par + prefix_j is the workload ahead of j in ``order``.  Within a run
@@ -430,105 +506,111 @@ def part_schedule(
     reach = [ahead + procs * w for ahead, (w, _) in zip(orders.last_ahead, runs)]
     reach = list(accumulate(reversed(reach), max))[::-1]
 
-    # parallel tasks, longest first; the longest sequential task is order[k]
-    parallel: List[_Longer] = []
-    # the same tasks as a multiset: (W_i, P_i) -> count
-    classes: Dict[Tuple[int, int], int] = {}
-
-    def longest() -> int:
-        """Task with the longest current duration, ties to the lowest id."""
-        if not parallel:
-            return order[k]
-        top = parallel[0]
-        if k < n:
-            i = order[k]
-            w = workloads[i] * top.p  # W_i/1 against W/P, cross-multiplied
-            if w > top.w or (w == top.w and ids[i] < top.tid):
-                return i
-        return top.i
-
-    # processors no parallel task holds: procs - sum(P_i > 1)
-    budget = procs
     # makespans found by the idle-processor cut, Graham's bound at order[k],
     # Graham's bound mid-walk, and a walk to the end
     routes = [0, 0, 0, 0]
+    # the parallel tasks as a multiset, (W_i, P_i) -> count, after ``taken`` steps
+    classes: Dict[Tuple[int, int], int] = {}
+    taken = 0
 
-    def makespan(j: int) -> Tuple[int, int]:
-        """c_max of the LPT pass for the current P_i, as (numerator, denominator).
+    # after s steps: k parallel tasks, order[k] in runs[r], and the budget
+    # is P less the parallel P_i.  Makespans are (numerator, denominator)
+    # pairs, compared cross-multiplied.
+    if n <= procs:
+        # the cut settles the makespans after 0..s steps
+        s = log.settled(procs)
+        k = log.ks[s]
+        budget = procs - (log.sums[s] - (n - k))
+        routes[0] = s
+        j, p, _ = steps[s]
+        best_top, best_den = workloads[j], p
+        best_steps = log.best[s]
+        best_k = log.ks[best_steps]
+    else:
+        s = k = best_steps = best_k = 0
+        budget = procs
+        # 1/0 stands for an infinite makespan: the first one found is not
+        # worse, and is the best so far
+        best_top, best_den = 1, 0
+    cur_top, cur_den = best_top, best_den
+    r = bisect_right(ends, k)
 
-        j is a task of the longest duration, so c_max >= W_j/P_j.  It is
-        exactly W_j/P_j when the idle processors cover the sequential tasks
-        (each then runs alone from time 0), or when Graham's bound caps it.
-        """
-        w, p = workloads[j], pi[j]
+    while True:
+        # the makespan after s steps; the longest task j gives c_max >= W_j/P_j
+        j, p, d = steps[s]
+        w = workloads[j]
         if n - k <= budget:
+            # each sequential task runs alone from time 0
             routes[0] += 1
-            return w, p
-        if reach[r] * p <= procs * w:
+            top, den = w, p
+        elif reach[r] * p <= procs * w:
             routes[1] += 1
-            return w, p
-        top, den, cut = _lpt_makespan(classes, runs, r, ends[r] - k, procs, reach, (w, p))
-        routes[2 if cut else 3] += 1
-        return top, den
-
-    # makespans are (numerator, denominator) pairs, compared cross-multiplied
-    i = longest()
-    cur_top, cur_den = makespan(i)
-    best_top, best_den = cur_top, cur_den
-    # (task, P_i before) per step taken; the best schedule is log[:best_steps]
-    log: List[Tuple[int, int]] = []
-    best_steps = best_k = 0
-
-    iterations = 0
-    restricted = False
-    stop_reason = "budget"
-    while budget > 0:
-        iterations += 1
-        w, p = workloads[i], pi[i]
-        if cutoff is None or p < cutoff:
-            d = 1
+            top, den = w, p
         else:
-            d = next_approx_square_increment(p)
-            restricted = restricted or d > 1
-        budget -= d + 1 if p == 1 else d
-        # stop when c_max is no longer the longest task's W_i/P_i
-        if cur_top * p != w * cur_den:
-            stop_reason = "not-longest"
-            break
-        if budget < 0:
-            stop_reason = "overdraw"
-            break
-        log.append((i, p))
-        if p == 1:
-            k += 1
-            if k == ends[r]:
-                r += 1
-            heapq.heappush(parallel, _Longer(w, 1 + d, ids[i], i))
-        else:
-            # i is the heap's top, and growing it only shortens it
-            top = parallel[0]
-            top.p = p + d
-            size = len(parallel)
-            if (size > 1 and parallel[1] < top) or (size > 2 and parallel[2] < top):
-                heapq.heapreplace(parallel, top)
-            if classes[w, p] == 1:
-                del classes[w, p]
-            else:
-                classes[w, p] -= 1
-        classes[w, p + d] = classes.get((w, p + d), 0) + 1
-        pi[i] = p + d
-        i = longest()
-        top, den = makespan(i)
+            for i, q, e in steps[taken:s]:
+                v = workloads[i]
+                if q > 1:
+                    if classes[v, q] == 1:
+                        del classes[v, q]
+                    else:
+                        classes[v, q] -= 1
+                classes[v, q + e] = classes.get((v, q + e), 0) + 1
+            taken = s
+            top, den, cut = _lpt_makespan(classes, runs, r, ends[r] - k, procs, reach, (w, p))
+            routes[2 if cut else 3] += 1
         if top * cur_den > cur_top * den:
             stop_reason = "worse"
             break
         cur_top, cur_den = top, den
         if top * best_den < best_top * den:
             best_top, best_den = top, den
-            best_steps, best_k = len(log), k
+            best_steps, best_k = s, k
+        if budget <= 0:
+            stop_reason = "budget"
+            break
+        # step s grows j by d
+        s += 1
+        budget -= d + 1 if p == 1 else d
+        # stop when c_max is no longer the longest task's W_j/P_j
+        if cur_top * p != w * cur_den:
+            stop_reason = "not-longest"
+            break
+        if budget < 0:
+            stop_reason = "overdraw"
+            break
+        if p == 1:
+            k += 1
+            if k == ends[r]:
+                r += 1
+        if s == len(steps):
+            # no walk took step s - 1 before: take it at the frontier, and log step s
+            if p == 1:
+                heapq.heappush(parallel, _Longer(w, 1 + d, ids[j], j))
+            else:
+                # j is the heap's top, and growing it only shortens it
+                head = parallel[0]
+                head.p = p + d
+                size = len(parallel)
+                if (size > 1 and parallel[1] < head) or (size > 2 and parallel[2] < head):
+                    heapq.heapreplace(parallel, head)
+            frontier[j] = p + d
+            # the longest task: the heap's top or order[k], W_i/1 against W/P cross-multiplied
+            head = parallel[0]
+            i = head.i
+            if k < n:
+                t = order[k]
+                v = workloads[t] * head.p
+                if v > head.w or (v == head.w and ids[t] < head.tid):
+                    i = t
+            q = frontier[i]
+            e = 1 if cutoff is None or q < cutoff else next_approx_square_increment(q)
+            if e > 1 and log.first_wide is None:
+                log.first_wide = s
+            steps.append((i, q, e))
 
-    for i, p in reversed(log[best_steps:]):
-        pi[i] = p
+    pi = [1] * n
+    for i, p, d in islice(steps, best_steps):
+        pi[i] = p + d
     # the placement's makespan is best_top / best_den: the same LPT pass.  Its
     # sequential tasks are order[best_k:], already longest first; only the
     # parallel prefix is sorted again, by W_i/P_i.
@@ -539,8 +621,8 @@ def part_schedule(
         schedule=schedule,
         c_max=Fraction(top, den),
         procs_per_task=tuple(pi),
-        iterations_taken=iterations,
-        restricted=restricted,
+        iterations_taken=s,
+        restricted=log.first_wide is not None and log.first_wide < s,
         stop_reason=stop_reason,
         routes=tuple(routes),
     )

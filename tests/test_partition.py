@@ -80,6 +80,14 @@ def reference_assign_task_lists(schedule, partition):
     return TaskListAssignment(process_to_row=tuple(process_to_row), overlap=tuple(achieved))
 
 
+def row_to_process(assignment):
+    """The inverse of ``assignment.process_to_row``: row -> process."""
+    inv = [0] * len(assignment.process_to_row)
+    for p, r in enumerate(assignment.process_to_row):
+        inv[r] = p
+    return tuple(inv)
+
+
 def destined_shares(schedule, assignment, partition):
     """Per object: process -> edge count it hosts for the internal problem.
 
@@ -89,7 +97,7 @@ def destined_shares(schedule, assignment, partition):
     one edge more when the split is uneven.  Kept as the reference for
     the shares that the pricing merges with the pieces.
     """
-    row_owner = assignment.row_to_process()
+    row_owner = row_to_process(assignment)
     shares = {}
     for tid, rows in schedule.proc_assignment.items():
         group = sorted(row_owner[r] for r in rows)

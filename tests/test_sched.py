@@ -1,5 +1,6 @@
 import heapq
 import random
+import weakref
 from fractions import Fraction
 from math import lcm
 
@@ -306,6 +307,7 @@ def assert_matches_reference(tasks, procs, cutoff):
     # before its rebuild (not-longest, overdraw) makes none
     rebuilds = iterations - (stop_reason in ("not-longest", "overdraw"))
     assert sum(result.routes) == rebuilds + 1, (procs, cutoff)
+    return result
 
 
 class TestFastPathEquivalence:
@@ -593,6 +595,71 @@ def test_property_part_schedule_matches_reference(workloads, spare, cutoff):
     # while there are more processors than tasks, so draw P on both sides of n
     procs = min(64, max(1, len(workloads) + spare))
     assert_matches_reference(make_tasks(workloads), procs, cutoff)
+
+
+def assert_same_walk(a, b):
+    assert (a.c_max, a.procs_per_task, a.iterations_taken, a.restricted, a.stop_reason,
+            a.routes) == (b.c_max, b.procs_per_task, b.iterations_taken, b.restricted,
+                          b.stop_reason, b.routes)
+    assert a.schedule.rows == b.schedule.rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    workloads=WORKLOAD_RUNS,
+    calls=st.lists(
+        st.tuples(st.integers(-63, 63), st.one_of(st.none(), st.sampled_from([1, 2, 4, 20]))),
+        min_size=1,
+        max_size=8,
+    ),
+    arrange=st.sampled_from(["ascending", "descending", "shuffled"]),
+)
+# n == P: the idle-processor cut settles state 0 only, a skip of zero steps
+@example(workloads=[5, 3, 2], calls=[(0, None), (0, 20), (1, None)], arrange="shuffled")
+# the budget runs out inside the prefix the second call skips: every task parallel,
+# P_i summing to P
+@example(workloads=[4, 4], calls=[(2, None), (2, None), (2, 2), (0, None)], arrange="shuffled")
+@example(workloads=[0, 0, 0], calls=[(-2, None), (0, 20), (5, 1), (40, None)], arrange="descending")
+@example(workloads=[9, 7, 7, 3], calls=[(-1, 1), (4, 1), (20, 1), (0, 1)], arrange="shuffled")
+@example(workloads=[6, 6, 1], calls=[(-63, None), (-63, 20), (-63, 1)], arrange="ascending")
+def test_property_shared_step_log_matches_reference(workloads, calls, arrange):
+    # one task tuple, so every call walks the same step log per cutoff; P = n + spare,
+    # clamped to 1..96, so the idle-processor skip and the full walk both occur
+    tasks = tuple(make_tasks(workloads))
+    calls = [(min(96, max(1, len(tasks) + spare)), cutoff) for spare, cutoff in calls]
+    if arrange != "shuffled":
+        calls.sort(key=lambda call: call[0], reverse=arrange == "descending")
+    logs = TaskOrders.of(tasks).step_logs
+    for procs, cutoff in calls:
+        before = list(logs[cutoff].steps) if cutoff in logs else []
+        result = assert_matches_reference(tasks, procs, cutoff)
+        # a list never shares a log
+        assert_same_walk(result, ms.part_schedule(list(tasks), procs, cutoff))
+        # the log only gains steps at its end
+        assert logs[cutoff].steps[:len(before)] == before
+
+
+def test_step_logs_are_released(monkeypatch):
+    made = []
+
+    class Recorded(ms.sched._StepLog):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(ms.sched, "_StepLog", Recorded)
+    first = tuple(make_tasks([9, 5, 5, 1]))
+    ms.part_schedule(first, 3, 20)
+    ms.part_schedule(first, 12, 20)
+    assert len(made) == 1 and made[0]() is TaskOrders.of(first).step_logs[20]
+    # scheduling another tuple drops the first one's log, with no cycle to wait for
+    ms.part_schedule(tuple(make_tasks([3, 2])), 4, 20)
+    assert len(made) == 2 and made[0]() is None and made[1]() is not None
+    # a list's log lives for one call
+    ms.part_schedule(make_tasks([9, 5, 5, 1]), 12, 20)
+    assert len(made) == 3 and made[2]() is None and made[1]() is not None
 
 
 def assert_results_equal(a, b):
