@@ -239,10 +239,10 @@ class Schedule:
 
     ``Schedule(...)`` takes explicit times, so any schedule can be built,
     broken ones included.  The schedulers build theirs with ``packed``:
-    each row runs back to back from its seed, and its clock is an integer
-    over one denominator (the lcm of the group sizes and of the seed
-    denominators).  The exact ``Fraction`` times are made when
-    ``start_times``, ``finish_times`` or ``makespan()`` is first read.
+    each row runs back to back from time 0, and its clock is an integer
+    over one denominator (the lcm of the group sizes).  The exact
+    ``Fraction`` times are made when ``start_times``, ``finish_times`` or
+    ``makespan()`` is first read.
     """
 
     rows: Tuple[Tuple[int, ...], ...]
@@ -256,9 +256,8 @@ class Schedule:
         rows: Tuple[Tuple[int, ...], ...],
         proc_assignment: Mapping[int, frozenset],
         tasks: Sequence[TaskSpec],
-        seeds: Optional[Sequence[Fraction]] = None,
     ) -> "Schedule":
-        """Rows run back to back from ``seeds`` (default 0); a slot lasts W / |group|.
+        """Rows run back to back from time 0; a slot lasts W / |group|.
 
         ``tasks`` gives the workloads.  It is kept until the times are
         read; a tuple, such as ``Scenario.tasks()``, is kept without a copy.
@@ -266,25 +265,21 @@ class Schedule:
         schedule = object.__new__(cls)
         object.__setattr__(schedule, "rows", rows)
         object.__setattr__(schedule, "proc_assignment", proc_assignment)
-        object.__setattr__(schedule, "_packing", (tuple(tasks), seeds))
+        object.__setattr__(schedule, "_packing", tuple(tasks))
         return schedule
 
     def __getattr__(self, name: str):
         # reached only while a packed schedule's times are unread
-        packing = self.__dict__.get("_packing")
-        if packing is None or name not in ("start_times", "finish_times"):
+        tasks = self.__dict__.get("_packing")
+        if tasks is None or name not in ("start_times", "finish_times"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        tasks, seeds = packing
         workload_of = {t.object_id: t.workload for t in tasks}
-        seeds = [Fraction(0)] * len(self.rows) if seeds is None else [Fraction(s) for s in seeds]
-        denom = math.lcm(
-            *(len(g) for g in self.proc_assignment.values()), *(s.denominator for s in seeds)
-        )
+        denom = math.lcm(*(len(g) for g in self.proc_assignment.values()))
         step = {tid: workload_of[tid] * (denom // len(g)) for tid, g in self.proc_assignment.items()}
         start_times = []
         finish_times = []
-        for row, seed in zip(self.rows, seeds):
-            clock = seed.numerator * (denom // seed.denominator)
+        for row in self.rows:
+            clock = 0
             starts = []
             for tid in row:
                 starts.append(Fraction(clock, denom))
@@ -307,7 +302,6 @@ def check_schedule(
     schedule: Schedule,
     tasks: Sequence[TaskSpec],
     procs: int,
-    initial_finish: Optional[Sequence[Fraction]] = None,
 ) -> None:
     """Validate a schedule against the schedule invariants.
 
@@ -315,8 +309,8 @@ def check_schedule(
       - every task appears exactly once in the rows of exactly the
         processors in its proc_assignment, and nowhere else;
       - all processors of a parallel task record the same start time;
-      - F_p is the seeded sum of that row's slot durations, with slots
-        packed back to back (no gaps);
+      - each row starts at time 0, and F_p is the sum of that row's slot
+        durations, with slots packed back to back (no gaps);
       - the parallel-task budget sum(P_i > 1) <= procs holds.
 
     Raises InvariantViolationError on the first failure found.
@@ -328,8 +322,6 @@ def check_schedule(
         raise InvariantViolationError(
             f"schedule has {len(schedule.rows)} rows for {procs} processors"
         )
-
-    seeds = [Fraction(0)] * procs if initial_finish is None else [Fraction(s) for s in initial_finish]
 
     seen = {tid: set() for tid in by_id}
     for p, row in enumerate(schedule.rows):
@@ -365,7 +357,7 @@ def check_schedule(
         )
 
     for p in range(procs):
-        clock = seeds[p]
+        clock = Fraction(0)
         for slot, tid in enumerate(schedule.rows[p]):
             start = schedule.start_times[p][slot]
             if start != clock:

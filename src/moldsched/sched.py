@@ -170,34 +170,35 @@ def _lpt_place(
     parallel: Sequence[int],
     sequential: Sequence[int],
     procs: int,
-    seeds: Optional[Sequence[Fraction]],
 ) -> Tuple[Schedule, Tuple[int, int]]:
     """One LPT pass with the P_i fixed: the Schedule and its makespan as (top, denom).
 
-    ``orders`` holds the tasks.  ``parallel`` and ``sequential`` list the
-    positions of the tasks with P_i > 1 and with P_i = 1, each longest
-    W_i/P_i first, ties to the lowest id.  Parallel tasks take contiguous
-    groups from processor 0; sequential tasks then go to the
+    Every processor starts at time 0.  ``orders`` holds the tasks.
+    ``parallel`` lists the positions of the tasks with P_i > 1, in any
+    order, and ``sequential`` those with P_i = 1, longest first, ties to
+    the lowest id.  This is the one place the parallel tasks are put in
+    LPT order: longest W_i/P_i first, ties to the lowest id.  They take
+    contiguous groups from processor 0; sequential tasks then go to the
     earliest-finishing processor, ties to the lowest processor id.  So
     each row holds its parallel task, if any, first.
 
-    Durations are scaled by denom, the lcm of the parallel P_i and of the
-    seed denominators, and each processor is one int key ``finish * procs
-    + p`` in a min-heap: as 0 <= p < procs, the keys sort as the (finish,
-    p) pairs do, the processor is ``key % procs``, and a task of workload
-    W adds ``W * denom * procs``.  The makespan is top / denom.
+    Durations are scaled by denom, the lcm of the parallel P_i, and each
+    processor is one int key ``finish * procs + p`` in a min-heap: as 0 <=
+    p < procs, the keys sort as the (finish, p) pairs do, the processor is
+    ``key % procs``, and a task of workload W adds ``W * denom * procs``.
+    The makespan is top / denom.
     """
     ids, workloads = orders.ids, orders.workloads
-    denom = lcm(*(pi[i] for i in parallel), *(s.denominator for s in seeds or ()))
-    fin = [0] * procs if seeds is None else [int(s * denom) for s in seeds]
+    denom = lcm(*(pi[i] for i in parallel))
+    fin = [0] * procs
     rows: List[List[int]] = [[] for _ in range(procs)]
     groups = {}
 
     nxt = 0
-    for i in parallel:
+    for i in sorted(parallel, key=lambda j: (-workloads[j] * (denom // pi[j]), ids[j])):
         k = pi[i]
         tid = ids[i]
-        # the groups are disjoint and seeds come with no parallel task: each F_p was 0
+        # the groups are disjoint: each F_p was 0
         fin[nxt:nxt + k] = [workloads[i] * (denom // k)] * k
         for row in rows[nxt:nxt + k]:
             row.append(tid)
@@ -219,7 +220,7 @@ def _lpt_place(
             group = alone[p] = frozenset((p,))
         groups[tid] = group
         heapq.heapreplace(heap, key + workloads[i] * unit)
-    schedule = Schedule.packed(tuple(map(tuple, rows)), groups, orders.items, seeds)
+    schedule = Schedule.packed(tuple(map(tuple, rows)), groups, orders.items)
     return schedule, (max(heap) // procs, denom)
 
 
@@ -312,20 +313,15 @@ def _check_inputs(tasks: Sequence[TaskSpec], procs: int) -> TaskOrders:
     return orders
 
 
-def lpt_schedule(
-    tasks: Sequence[TaskSpec],
-    procs: int,
-    initial_finish: Optional[Sequence[Fraction]] = None,
-) -> ScheduleResult:
-    """Longest-processing-time list schedule for tasks with fixed P_i.
+def lpt_schedule(tasks: Sequence[TaskSpec], procs: int) -> ScheduleResult:
+    """Longest-processing-time list schedule for tasks with fixed P_i, from time 0.
 
     Tasks with P_i > 1 are placed first, all starting at time zero on
     disjoint processor groups (requires sum of their P_i <= procs);
     sequential tasks are then appended to the earliest-finishing
     processor.  Ties: longer duration first, then ascending task id;
-    earliest-F_p ties go to the lowest processor id.  ``initial_finish``
-    seeds per-processor finish times and is only supported for
-    all-sequential task lists.
+    earliest-F_p ties go to the lowest processor id.  It runs the LPT
+    placement pass that ``part_schedule`` ends with.
     """
     orders = _check_inputs(tasks, procs)
     parallel_total = sum(t.procs for t in tasks if t.procs > 1)
@@ -334,27 +330,12 @@ def lpt_schedule(
             f"parallel tasks need {parallel_total} processors, only {procs} exist"
         )
 
-    seeds = None
-    if initial_finish is not None:
-        if len(initial_finish) != procs:
-            raise InvalidTaskError("initial_finish must have one entry per processor")
-        seeds = [Fraction(s) for s in initial_finish]
-        if any(s < 0 for s in seeds):
-            raise InvalidTaskError("initial_finish entries must be >= 0")
-        if all(s == 0 for s in seeds):
-            seeds = None
-        elif parallel_total > 0:
-            raise InvalidTaskError(
-                "initial_finish seeds are only supported for sequential task lists"
-            )
-
-    ids, workloads = orders.ids, orders.workloads
     pi = [t.procs for t in tasks]
-    scale = lcm(*pi)
-    order = sorted(range(len(tasks)), key=lambda i: (-workloads[i] * (scale // pi[i]), ids[i]))
-    parallel = [i for i in order if pi[i] > 1]
-    sequential = [i for i in order if pi[i] == 1]
-    schedule, (top, denom) = _lpt_place(orders, pi, parallel, sequential, procs, seeds)
+    # ``order`` is longest workload first, ties to the lowest id: the LPT
+    # order of the sequential tasks
+    parallel = [i for i in orders.order if pi[i] > 1]
+    sequential = [i for i in orders.order if pi[i] == 1]
+    schedule, (top, denom) = _lpt_place(orders, pi, parallel, sequential, procs)
     return ScheduleResult(
         schedule=schedule,
         c_max=Fraction(top, denom),
@@ -612,11 +593,9 @@ def part_schedule(
     for i, p, d in islice(steps, best_steps):
         pi[i] = p + d
     # the placement's makespan is best_top / best_den: the same LPT pass.  Its
-    # sequential tasks are order[best_k:], already longest first; only the
-    # parallel prefix is sorted again, by W_i/P_i.
-    scale = lcm(*(pi[i] for i in order[:best_k]))
-    lpt = sorted(order[:best_k], key=lambda i: (-workloads[i] * (scale // pi[i]), ids[i]))
-    schedule, (top, den) = _lpt_place(orders, pi, lpt, order[best_k:], procs, None)
+    # parallel tasks are order[:best_k], and its sequential tasks
+    # order[best_k:], already longest first.
+    schedule, (top, den) = _lpt_place(orders, pi, order[:best_k], order[best_k:], procs)
     return ScheduleResult(
         schedule=schedule,
         c_max=Fraction(top, den),

@@ -126,6 +126,20 @@ def test_validator_rejects_desynced_parallel_start():
         check_schedule(broken, tasks, 3)
 
 
+def test_validator_rejects_late_first_slot():
+    # every row runs back to back from 1, and each F_p is its row's sum
+    # from there: consistent, but the rows must start at 0
+    tasks = [ms.TaskSpec(0, 8, 2), ms.TaskSpec(1, 3, 1)]
+    schedule = ms.Schedule(
+        rows=((0,), (0,), (1,)),
+        start_times=((Fraction(1),), (Fraction(1),), (Fraction(1),)),
+        proc_assignment={0: frozenset({0, 1}), 1: frozenset({2})},
+        finish_times=(Fraction(5), Fraction(5), Fraction(4)),
+    )
+    with pytest.raises(ms.InvariantViolationError, match="start 1 != expected 0"):
+        check_schedule(schedule, tasks, 3)
+
+
 def test_validator_rejects_row_count_mismatch():
     tasks = [ms.TaskSpec(0, 8, 2), ms.TaskSpec(1, 6, 2)]
     result = ms.lpt_schedule(tasks, 4)

@@ -96,18 +96,6 @@ class TestLpt:
         with pytest.raises(ms.InfeasibleParallelSetError):
             ms.lpt_schedule(tasks, 3)
 
-    def test_initial_finish_seeds(self):
-        tasks = make_tasks([3, 3, 2])
-        result = ms.lpt_schedule(tasks, 2, initial_finish=[2, 0])
-        assert result.schedule.rows == ((1,), (0, 2))
-        assert result.c_max == 5
-        check_schedule(result.schedule, tasks, 2, initial_finish=[2, 0])
-
-    def test_seeds_with_parallel_tasks_rejected(self):
-        tasks = [ms.TaskSpec(0, 8, 2)]
-        with pytest.raises(ms.InvalidTaskError):
-            ms.lpt_schedule(tasks, 2, initial_finish=[1, 0])
-
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ms.InvalidTaskError):
             ms.lpt_schedule([ms.TaskSpec(0, 1), ms.TaskSpec(0, 2)], 2)
@@ -732,7 +720,7 @@ def test_property_part_schedule_within_its_bound(instance):
         assert ms.part_schedule(tasks, procs, cutoff).c_max <= bound
 
 
-def reference_lpt_placement(tasks, procs, seeds=None):
+def reference_lpt_placement(tasks, procs):
     """LPT with the P_i fixed, one task per step on ``Fraction`` finish times.
 
     Kept as the reference that ``lpt_schedule`` must reproduce: tasks go
@@ -742,7 +730,7 @@ def reference_lpt_placement(tasks, procs, seeds=None):
     Returns (rows, proc_assignment, c_max).
     """
     order = sorted(tasks, key=lambda t: (-Fraction(t.workload, t.procs), t.object_id))
-    fin = [Fraction(0)] * procs if seeds is None else [Fraction(s) for s in seeds]
+    fin = [Fraction(0)] * procs
     rows = [[] for _ in range(procs)]
     assignment = {}
     nxt = 0
@@ -763,46 +751,45 @@ def reference_lpt_placement(tasks, procs, seeds=None):
     return tuple(map(tuple, rows)), assignment, max(fin)
 
 
-@settings(max_examples=300, deadline=None)
-@given(workloads=WORKLOAD_RUNS, procs=st.integers(1, 64), seeded=st.booleans(), data=st.data())
-def test_property_lpt_schedule_matches_reference(workloads, procs, seeded, data):
+def draw_lpt_tasks(workloads, procs, data):
+    """Tasks of the given workloads with any P_i vector that fits in P, on shuffled ids.
+
+    The parallel P_i are the gaps between distinct cut points in 1..P, so
+    they sum to at most P, and go to tasks drawn at random; the ids are
+    shuffled, so the id tie rule is not the input order.
+    """
     n = len(workloads)
-    # shuffled ids, so the id tie rule is not the input order
     ids = data.draw(st.permutations(range(n)))
-    seeds = None
-    if seeded:
-        counts = [1] * n
-        seeds = data.draw(st.lists(
-            st.one_of(st.just(Fraction(0)), st.fractions(0, 10**6, max_denominator=36)),
-            min_size=procs, max_size=procs,
-        ))
-    else:
-        # any P_i vector whose parallel P_i sum to at most P: the gaps
-        # between distinct cut points in 1..P, on tasks drawn at random
-        cuts = sorted(data.draw(st.sets(st.integers(1, procs), max_size=n)))
-        sizes = [b - a for a, b in zip([0] + cuts, cuts)]
-        counts = data.draw(st.permutations(sizes + [1] * (n - len(sizes))))
-    tasks = [ms.TaskSpec(i, w, k) for i, w, k in zip(ids, workloads, counts)]
-    result = ms.lpt_schedule(tasks, procs, initial_finish=seeds)
-    rows, assignment, c_max = reference_lpt_placement(tasks, procs, seeds)
+    cuts = sorted(data.draw(st.sets(st.integers(1, procs), max_size=n)))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts)]
+    counts = data.draw(st.permutations(sizes + [1] * (n - len(sizes))))
+    return [ms.TaskSpec(i, w, k) for i, w, k in zip(ids, workloads, counts)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(workloads=WORKLOAD_RUNS, procs=st.integers(1, 64), data=st.data())
+def test_property_lpt_schedule_matches_reference(workloads, procs, data):
+    tasks = draw_lpt_tasks(workloads, procs, data)
+    result = ms.lpt_schedule(tasks, procs)
+    rows, assignment, c_max = reference_lpt_placement(tasks, procs)
     assert result.schedule.rows == rows
     assert dict(result.schedule.proc_assignment) == assignment
     assert result.c_max == c_max
-    check_schedule(result.schedule, tasks, procs, initial_finish=seeds)
+    check_schedule(result.schedule, tasks, procs)
 
 
-def reference_times(result, tasks, procs, seeds=None):
+def reference_times(result, tasks, procs):
     """Start and finish times by the eager packing loop: a Fraction clock per row.
 
     Kept as the reference for the times a packed schedule makes on read:
-    each row runs back to back from its seed, a slot lasting W_i / P_i.
+    each row runs back to back from time 0, a slot lasting W_i / P_i.
     """
     workload_of = {t.object_id: t.workload for t in tasks}
     group_of = dict(zip((t.object_id for t in tasks), result.procs_per_task))
     start_times = []
     finish_times = []
     for p in range(procs):
-        clock = Fraction(0) if seeds is None else Fraction(seeds[p])
+        clock = Fraction(0)
         starts = []
         for tid in result.schedule.rows[p]:
             starts.append(clock)
@@ -812,36 +799,30 @@ def reference_times(result, tasks, procs, seeds=None):
     return tuple(start_times), tuple(finish_times)
 
 
-def assert_times_match_reference(result, tasks, procs, seeds, read_makespan_first):
+def assert_times_match_reference(result, tasks, procs, read_makespan_first):
     schedule = result.schedule
     # the times are made on the first read, whichever name is read first
     if read_makespan_first:
         assert schedule.makespan() == result.c_max
-    starts, finish = reference_times(result, tasks, procs, seeds)
+    starts, finish = reference_times(result, tasks, procs)
     assert schedule.start_times == starts
     assert schedule.finish_times == finish
     assert schedule.makespan() == max(finish, default=Fraction(0)) == result.c_max
-    check_schedule(schedule, tasks, procs, initial_finish=seeds)
+    check_schedule(schedule, tasks, procs)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     workloads=WORKLOAD_RUNS,
-    procs=st.integers(1, 24),
+    procs=st.integers(1, 64),
     data=st.data(),
     read_makespan_first=st.booleans(),
 )
-def test_property_lpt_seeded_times_match_eager_packing(
-    workloads, procs, data, read_makespan_first
-):
-    # non-integer seeds make the clocks' denominator the lcm of theirs
-    seeds = data.draw(st.lists(
-        st.one_of(st.just(Fraction(0)), st.fractions(0, 10**6, max_denominator=36)),
-        min_size=procs, max_size=procs,
-    ))
-    tasks = make_tasks(workloads)
-    result = ms.lpt_schedule(tasks, procs, initial_finish=seeds)
-    assert_times_match_reference(result, tasks, procs, seeds, read_makespan_first)
+def test_property_lpt_times_match_eager_packing(workloads, procs, data, read_makespan_first):
+    # parallel groups of distinct sizes make the clocks' denominator the lcm of theirs
+    tasks = draw_lpt_tasks(workloads, procs, data)
+    result = ms.lpt_schedule(tasks, procs)
+    assert_times_match_reference(result, tasks, procs, read_makespan_first)
 
 
 @settings(max_examples=150, deadline=None)
@@ -857,4 +838,4 @@ def test_property_part_schedule_times_match_eager_packing(
     procs = min(64, max(1, len(workloads) + spare))
     tasks = make_tasks(workloads)
     result = ms.part_schedule(tasks, procs, cutoff)
-    assert_times_match_reference(result, tasks, procs, None, read_makespan_first)
+    assert_times_match_reference(result, tasks, procs, read_makespan_first)
