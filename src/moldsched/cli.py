@@ -18,6 +18,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import (
+    MACHINE_COEFFICIENTS,
     InvalidScenarioError,
     InvalidTaskError,
     MachineModel,
@@ -33,8 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_INVARIANT = 3
-
-_MACHINE_KEYS = ("t_work", "t_near", "t_fft", "gamma_grid", "alpha_msg", "beta_edge")
 
 SWEEP_COLUMNS = (
     "P",
@@ -56,7 +55,7 @@ def scenario_to_json(scenario: Scenario) -> str:
     doc = {
         "name": scenario.name,
         "objects": [{"id": o.id, "edges": o.edges} for o in scenario.objects],
-        "machine": {k: getattr(scenario.machine, k) for k in _MACHINE_KEYS},
+        "machine": {k: getattr(scenario.machine, k) for k in MACHINE_COEFFICIENTS},
         "cutoff": scenario.cutoff,
         "iterations": scenario.iterations,
         "grid": list(scenario.machine.grid),
@@ -116,7 +115,7 @@ def scenario_from_json(text: str) -> Scenario:
     coeffs = doc.get("machine", {})
     if not isinstance(coeffs, dict):
         raise InvalidScenarioError(f"machine must be a JSON object, got {coeffs!r}")
-    unknown = set(coeffs) - set(_MACHINE_KEYS)
+    unknown = set(coeffs) - set(MACHINE_COEFFICIENTS)
     if unknown:
         raise InvalidScenarioError(f"unknown machine keys: {sorted(unknown)}")
     for k, v in coeffs.items():

@@ -229,51 +229,44 @@ class TaskOrders(_PerTuple):
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """Per-processor ordered task lists with start and finish times.
+    """Per-processor ordered task lists, each run back to back from time 0.
 
     ``rows[p]`` is the ordered list of task ids processor p executes; a
     parallel task id appears in the row of every processor in its group.
-    ``start_times[p][t]`` is the start instant of the t-th slot of row p,
-    in work units.  ``proc_assignment`` maps task id to the set of
-    processors executing it, and ``finish_times[p]`` is F_p.
+    ``proc_assignment`` maps task id to the set of processors executing
+    it, and ``tasks`` gives the workloads: a slot of task i lasts
+    W_i / |group|.  A list of tasks is copied to a tuple; a tuple, such
+    as ``Scenario.tasks()``, is kept without a copy.
 
-    ``Schedule(...)`` takes explicit times, so any schedule can be built,
-    broken ones included.  The schedulers build theirs with ``packed``:
-    each row runs back to back from time 0, and its clock is an integer
-    over one denominator (the lcm of the group sizes).  The exact
-    ``Fraction`` times are made when ``start_times``, ``finish_times`` or
-    ``makespan()`` is first read.
+    The exact ``Fraction`` times are made together when ``start_times``,
+    ``finish_times`` or ``makespan()`` is first read:
+    ``start_times[p][t]`` is the start instant of the t-th slot of row p,
+    in work units, and ``finish_times[p]`` is F_p.
     """
 
     rows: Tuple[Tuple[int, ...], ...]
-    start_times: Tuple[Tuple[Fraction, ...], ...]
     proc_assignment: Mapping[int, frozenset]
-    finish_times: Tuple[Fraction, ...]
+    tasks: Tuple[TaskSpec, ...]
 
-    @classmethod
-    def packed(
-        cls,
-        rows: Tuple[Tuple[int, ...], ...],
-        proc_assignment: Mapping[int, frozenset],
-        tasks: Sequence[TaskSpec],
-    ) -> "Schedule":
-        """Rows run back to back from time 0; a slot lasts W / |group|.
+    def __post_init__(self):
+        # tuple() of a tuple is that tuple, so only a list is copied
+        object.__setattr__(self, "tasks", tuple(self.tasks))
 
-        ``tasks`` gives the workloads.  It is kept until the times are
-        read; a tuple, such as ``Scenario.tasks()``, is kept without a copy.
+    @cached_property
+    def start_times(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        return self._pack()[0]
+
+    @cached_property
+    def finish_times(self) -> Tuple[Fraction, ...]:
+        return self._pack()[1]
+
+    def _pack(self):
+        """Both times, stored in the cache of both properties at once.
+
+        Each row's clock is an integer over one denominator, the lcm of
+        the group sizes; it becomes a ``Fraction`` only as a time is stored.
         """
-        schedule = object.__new__(cls)
-        object.__setattr__(schedule, "rows", rows)
-        object.__setattr__(schedule, "proc_assignment", proc_assignment)
-        object.__setattr__(schedule, "_packing", tuple(tasks))
-        return schedule
-
-    def __getattr__(self, name: str):
-        # reached only while a packed schedule's times are unread
-        tasks = self.__dict__.get("_packing")
-        if tasks is None or name not in ("start_times", "finish_times"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        workload_of = {t.object_id: t.workload for t in tasks}
+        workload_of = {t.object_id: t.workload for t in self.tasks}
         denom = math.lcm(*(len(g) for g in self.proc_assignment.values()))
         step = {tid: workload_of[tid] * (denom // len(g)) for tid, g in self.proc_assignment.items()}
         start_times = []
@@ -286,9 +279,9 @@ class Schedule:
                 clock += step[tid]
             start_times.append(tuple(starts))
             finish_times.append(Fraction(clock, denom))
-        object.__setattr__(self, "start_times", tuple(start_times))
-        object.__setattr__(self, "finish_times", tuple(finish_times))
-        return self.__dict__[name]
+        times = tuple(start_times), tuple(finish_times)
+        self.__dict__["start_times"], self.__dict__["finish_times"] = times
+        return times
 
     @property
     def n_procs(self) -> int:
@@ -416,6 +409,10 @@ class PartitionMap:
         return owned
 
 
+# MachineModel's coefficient fields, in the scenario files' key order
+MACHINE_COEFFICIENTS = ("t_work", "t_near", "t_fft", "gamma_grid", "alpha_msg", "beta_edge")
+
+
 @dataclass(frozen=True)
 class MachineModel:
     """Cost coefficients converting work units into seconds, and the grid shape.
@@ -442,7 +439,7 @@ class MachineModel:
     grid: Tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        for name in ("t_work", "t_near", "t_fft", "gamma_grid", "alpha_msg", "beta_edge"):
+        for name in MACHINE_COEFFICIENTS:
             value = getattr(self, name)
             if not (value >= 0 and _fits_float(value)):
                 raise InvalidScenarioError(f"machine coefficient {name} must be finite and >= 0")

@@ -220,7 +220,7 @@ def _lpt_place(
             group = alone[p] = frozenset((p,))
         groups[tid] = group
         heapq.heapreplace(heap, key + workloads[i] * unit)
-    schedule = Schedule.packed(tuple(map(tuple, rows)), groups, orders.items)
+    schedule = Schedule(tuple(map(tuple, rows)), groups, orders.items)
     return schedule, (max(heap) // procs, denom)
 
 
@@ -661,16 +661,15 @@ def oracle_optimal(
     tasks: Sequence[TaskSpec],
     procs: int,
     moldable: bool = False,
-    allowed_procs: Optional[Sequence[Set[int]]] = None,
 ) -> Fraction:
     """Exhaustive-search optimal makespan for small instances.
 
     With ``moldable=False`` every task runs on exactly one processor.
-    With ``moldable=True`` each task's P_i ranges over ``allowed_procs``
-    (default 1..P) under the same execution model as the schedulers: all
-    parallel tasks start at time zero on disjoint groups with
-    sum(P_i > 1) <= P, sequential tasks fill in afterwards.  Guarded to
-    at most 12 tasks and 6 processors; exponential beyond that.
+    With ``moldable=True`` each task's P_i ranges over 1..P under the
+    same execution model as the schedulers: all parallel tasks start at
+    time zero on disjoint groups with sum(P_i > 1) <= P, sequential tasks
+    fill in afterwards.  Guarded to at most 12 tasks and 6 processors;
+    exponential beyond that.
     """
     _check_inputs(tasks, procs)
     if len(tasks) > ORACLE_MAX_TASKS or procs > ORACLE_MAX_PROCS:
@@ -683,18 +682,6 @@ def oracle_optimal(
     if not moldable:
         best = _min_pack(workloads, [0] * procs, None)
         return Fraction(best)
-
-    if allowed_procs is None:
-        choices: List[List[int]] = [list(range(1, procs + 1))] * n
-    else:
-        if len(allowed_procs) != n:
-            raise InvalidTaskError("allowed_procs must give one set per task")
-        choices = []
-        for s in allowed_procs:
-            opts = sorted(k for k in s if 1 <= k <= procs)
-            if not opts:
-                raise InvalidTaskError("each task needs at least one feasible P_i")
-            choices.append(opts)
 
     scale = lcm(*range(1, procs + 1))
     best: Optional[int] = None
@@ -715,7 +702,7 @@ def oracle_optimal(
             if best is None or got < best:
                 best = got
             return
-        for k_i in choices[k]:
+        for k_i in range(1, procs + 1):
             extra = k_i if k_i > 1 else 0
             if parallel_sum + extra > procs:
                 continue

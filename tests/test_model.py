@@ -1,5 +1,5 @@
-import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -96,10 +96,36 @@ def test_validator_accepts_scheduler_output():
     check_schedule(result.schedule, moldable, 4)
 
 
+def test_schedule_keeps_the_workloads_it_was_built_with():
+    tasks = [ms.TaskSpec(0, 6, 2), ms.TaskSpec(1, 3)]
+    groups = {0: frozenset({0, 1}), 1: frozenset({1})}
+    schedule = ms.Schedule(((0,), (0, 1)), groups, tasks)
+    # the list changes before the times are first read
+    tasks[0] = ms.TaskSpec(0, 60, 2)
+    tasks.pop()
+    assert schedule.start_times == ((0,), (0, 3))
+    assert schedule.finish_times == (3, 6)
+    check_schedule(schedule, list(schedule.tasks), 2)
+    # a tuple is kept as it is
+    frozen = tuple(schedule.tasks)
+    assert ms.Schedule(schedule.rows, groups, frozen).tasks is frozen
+
+
+def stand_in(schedule, **changes):
+    """The four attributes check_schedule reads, with some of them changed.
+
+    A Schedule makes its own times from its rows, so a broken one is
+    built as this stand-in.
+    """
+    attrs = {name: getattr(schedule, name)
+             for name in ("rows", "start_times", "proc_assignment", "finish_times")}
+    return SimpleNamespace(**{**attrs, **changes})
+
+
 def test_validator_rejects_bad_finish_time():
     tasks = [ms.TaskSpec(i, w) for i, w in enumerate([5, 4, 3])]
     schedule = ms.lpt_schedule(tasks, 2).schedule
-    broken = dataclasses.replace(
+    broken = stand_in(
         schedule, finish_times=tuple(f + 1 for f in schedule.finish_times)
     )
     with pytest.raises(ms.InvariantViolationError):
@@ -119,7 +145,7 @@ def test_validator_rejects_desynced_parallel_start():
     schedule = ms.lpt_schedule(tasks, 3).schedule
     starts = [list(s) for s in schedule.start_times]
     starts[1][0] += 1  # second member of the parallel group drifts
-    broken = dataclasses.replace(
+    broken = stand_in(
         schedule, start_times=tuple(tuple(s) for s in starts)
     )
     with pytest.raises(ms.InvariantViolationError):
@@ -130,7 +156,7 @@ def test_validator_rejects_late_first_slot():
     # every row runs back to back from 1, and each F_p is its row's sum
     # from there: consistent, but the rows must start at 0
     tasks = [ms.TaskSpec(0, 8, 2), ms.TaskSpec(1, 3, 1)]
-    schedule = ms.Schedule(
+    schedule = SimpleNamespace(
         rows=((0,), (0,), (1,)),
         start_times=((Fraction(1),), (Fraction(1),), (Fraction(1),)),
         proc_assignment={0: frozenset({0, 1}), 1: frozenset({2})},
@@ -152,7 +178,7 @@ def test_validator_rejects_overbooked_parallel_budget():
     # two 2-process tasks time-sharing processor 1: coverage and starts are
     # consistent, but the simultaneity budget needs 4 > 3 processors
     tasks = [ms.TaskSpec(0, 8, 2), ms.TaskSpec(1, 6, 2)]
-    schedule = ms.Schedule(
+    schedule = SimpleNamespace(
         rows=((0,), (0, 1), (1,)),
         start_times=(
             (Fraction(0),),

@@ -431,7 +431,7 @@ def one_parallel_task(procs, rows, pieces):
     """A schedule of one parallel task on ``rows``, and its object's pieces."""
     members = frozenset(rows)
     rows_of = tuple((0,) if r in members else () for r in range(procs))
-    schedule = ms.Schedule.packed(rows_of, {0: members}, [ms.TaskSpec(0, 1, len(members))])
+    schedule = ms.Schedule(rows_of, {0: members}, [ms.TaskSpec(0, 1, len(members))])
     return schedule, sparse_partition(procs, (pieces,))
 
 
@@ -548,7 +548,7 @@ class TestAgainstDenseReference:
         tasks = [ms.TaskSpec(0, 3, 3), ms.TaskSpec(1, 3, 3), ms.TaskSpec(2, 1)]
         part = dense_partition(np.array([[0, 0, 5], [1, 2, 0], [0, 1, 0], [4, 0, 1]]))
         for rows in (((0, 1), (1, 0), (0, 1), (2,)), ((0, 1),) * 3 + ((2,),)):
-            schedule = ms.Schedule.packed(rows, assignment, tasks)
+            schedule = ms.Schedule(rows, assignment, tasks)
             got = ms.assign_task_lists(schedule, part)
             assert got == TaskListAssignment((3, 0, 1, 2), (5, 3, 1, 4))
             assert_matches_reference(schedule, part, ms.MachineModel())
@@ -613,7 +613,7 @@ def grouped_cases(draw):
         assignment[tid] = frozenset(members)
     rows = [tuple(draw(st.permutations(row))) for row in rows]
     tasks = [ms.TaskSpec(tid, 1, len(members)) for tid, members in assignment.items()]
-    schedule = ms.Schedule.packed(tuple(rows), assignment, tasks)
+    schedule = ms.Schedule(tuple(rows), assignment, tasks)
 
     n = len(tasks)
     owned = np.array(draw(st.lists(

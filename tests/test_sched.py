@@ -198,11 +198,6 @@ class TestOracle:
     def test_moldable_splits_single_task(self):
         assert ms.oracle_optimal(make_tasks([100]), 4, moldable=True) == 25
 
-    def test_allowed_procs_restriction(self):
-        tasks = make_tasks([100])
-        got = ms.oracle_optimal(tasks, 4, moldable=True, allowed_procs=[{1, 2}])
-        assert got == 50
-
     def test_guards(self):
         with pytest.raises(ms.InstanceTooLargeError):
             ms.oracle_optimal(make_tasks([1] * 13), 2)
@@ -781,7 +776,7 @@ def test_property_lpt_schedule_matches_reference(workloads, procs, data):
 def reference_times(result, tasks, procs):
     """Start and finish times by the eager packing loop: a Fraction clock per row.
 
-    Kept as the reference for the times a packed schedule makes on read:
+    Kept as the reference for the times a Schedule makes on first read:
     each row runs back to back from time 0, a slot lasting W_i / P_i.
     """
     workload_of = {t.object_id: t.workload for t in tasks}
