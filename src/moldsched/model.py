@@ -8,11 +8,12 @@ rounded floats, so that the schedulers' equality tests are reliable.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, groupby
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import accumulate, chain, groupby
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class SchedulingError(Exception):
@@ -232,11 +233,12 @@ class Schedule:
     """Per-processor ordered task lists, each run back to back from time 0.
 
     ``rows[p]`` is the ordered list of task ids processor p executes; a
-    parallel task id appears in the row of every processor in its group.
-    ``proc_assignment`` maps task id to the set of processors executing
-    it, and ``tasks`` gives the workloads: a slot of task i lasts
-    W_i / |group|.  A list of tasks is copied to a tuple; a tuple, such
-    as ``Scenario.tasks()``, is kept without a copy.
+    parallel task id appears in the row of every processor in its group,
+    so a task's group is the set of rows holding it, and nothing else
+    records it.  ``group_sizes`` counts those rows per task id, and
+    ``tasks`` gives the workloads: a slot of task i lasts W_i / |group|.
+    A list of tasks is copied to a tuple; a tuple, such as
+    ``Scenario.tasks()``, is kept without a copy.
 
     The exact ``Fraction`` times are made together when ``start_times``,
     ``finish_times`` or ``makespan()`` is first read:
@@ -245,12 +247,16 @@ class Schedule:
     """
 
     rows: Tuple[Tuple[int, ...], ...]
-    proc_assignment: Mapping[int, frozenset]
     tasks: Tuple[TaskSpec, ...]
 
     def __post_init__(self):
         # tuple() of a tuple is that tuple, so only a list is copied
         object.__setattr__(self, "tasks", tuple(self.tasks))
+
+    @cached_property
+    def group_sizes(self) -> Counter:
+        """Task id -> the number of rows holding it: P_i, or 1 for a sequential task."""
+        return Counter(chain.from_iterable(self.rows))
 
     @cached_property
     def start_times(self) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -267,8 +273,9 @@ class Schedule:
         the group sizes; it becomes a ``Fraction`` only as a time is stored.
         """
         workload_of = {t.object_id: t.workload for t in self.tasks}
-        denom = math.lcm(*(len(g) for g in self.proc_assignment.values()))
-        step = {tid: workload_of[tid] * (denom // len(g)) for tid, g in self.proc_assignment.items()}
+        sizes = self.group_sizes
+        denom = math.lcm(*sizes.values())
+        step = {tid: workload_of[tid] * (denom // k) for tid, k in sizes.items()}
         start_times = []
         finish_times = []
         for row in self.rows:
@@ -299,8 +306,9 @@ def check_schedule(
     """Validate a schedule against the schedule invariants.
 
     Checks, for the given task set:
-      - every task appears exactly once in the rows of exactly the
-        processors in its proc_assignment, and nowhere else;
+      - every task appears in at least one row, at most once per row, and
+        no row holds an unknown task; the rows holding a task are its
+        group, and a slot of it lasts W_i / |group|;
       - all processors of a parallel task record the same start time;
       - each row starts at time 0, and F_p is the sum of that row's slot
         durations, with slots packed back to back (no gaps);
@@ -316,6 +324,7 @@ def check_schedule(
             f"schedule has {len(schedule.rows)} rows for {procs} processors"
         )
 
+    # each task's group: the rows that hold it
     seen = {tid: set() for tid in by_id}
     for p, row in enumerate(schedule.rows):
         for tid in row:
@@ -326,13 +335,7 @@ def check_schedule(
             seen[tid].add(p)
 
     budget = 0
-    for tid, task in by_id.items():
-        group = schedule.proc_assignment.get(tid, frozenset())
-        if seen[tid] != set(group):
-            raise InvariantViolationError(
-                f"task {tid}: rows place it on {sorted(seen[tid])}, "
-                f"proc_assignment says {sorted(group)}"
-            )
+    for tid, group in seen.items():
         if len(group) == 0:
             raise InvariantViolationError(f"task {tid} is not scheduled")
         if len(group) > 1:
@@ -358,7 +361,7 @@ def check_schedule(
                     f"processor {p} slot {slot}: start {start} != expected {clock}"
                 )
             task = by_id[tid]
-            clock += Fraction(task.workload, len(schedule.proc_assignment[tid]))
+            clock += Fraction(task.workload, len(seen[tid]))
         if schedule.finish_times[p] != clock:
             raise InvariantViolationError(
                 f"processor {p}: F_p {schedule.finish_times[p]} != slot sum {clock}"
@@ -494,4 +497,4 @@ class Scenario:
         return tasks_from_objects(self.objects)
 
     def total_edges(self) -> int:
-        return sum(o.edges for o in self.objects)
+        return ObjectOrders.of(self.objects).total

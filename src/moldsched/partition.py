@@ -10,7 +10,7 @@ are filled from its surpluses, both read from one merge of the group
 with the object's pieces.
 
 Both the matching and the pricing walk the schedule's rows, and read a
-row's tasks from the row itself; ``proc_assignment`` only tells a
+row's tasks from the row itself; ``Schedule.group_sizes`` only tells a
 parallel task (on more than one row) from a sequential one.  Object ids
 double as 0-based indices of the partition's per-object pieces, so
 schedule task ids address an object's pieces directly.
@@ -157,11 +157,11 @@ def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAs
     shared: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(procs)]
     class_rows: Dict[Tuple[int, ...], List[int]] = {}
     row_class: List[Tuple[int, ...]] = []
-    assigned = schedule.proc_assignment
+    size = schedule.group_sizes
     for r, row in enumerate(schedule.rows):
         tids = []
         for tid in row:
-            if len(assigned[tid]) > 1:
+            if size[tid] > 1:
                 tids.append(tid)
                 continue
             for p, edges in partition.pieces[tid]:
@@ -236,13 +236,13 @@ def redistribution_cost(
     process and hold at least one edge each.
     """
     rows = schedule.rows
-    assigned = schedule.proc_assignment
+    size = schedule.group_sizes
     edges_moved = 0
     pairs = set()
     groups: Dict[int, List[int]] = {}
     for p, r in enumerate(assignment.process_to_row):
         for tid in rows[r]:
-            if len(assigned[tid]) > 1:
+            if size[tid] > 1:
                 groups.setdefault(tid, []).append(p)
                 continue
             for q, e in partition.pieces[tid]:

@@ -21,22 +21,23 @@ processors are at least as many as the sequential tasks (each then runs
 alone from time zero), or when Graham's list-scheduling bound proves it.
 The first case holds while all P_i sum to at most P, and that sum grows
 with every step, so when P >= n the walk skips those steps with one
-bisect.  Graham's bound peaks at the last task of each run of equal sequential
-workloads, so it is kept per run, built in O(runs) per call from a fact
-of the task tuple (``TaskOrders.last_ahead``).  Otherwise it computes the
-makespan from buckets of equal finish times: it keeps the parallel tasks
-as a multiset of (W_i, P_i) classes, one bucket per class, brought up to
-the current step only when a rebuild needs it, so a rebuild
-costs O(classes + runs of equal sequential workloads), not O(tasks).
+bisect.  Graham's bound peaks at the last task of each run of equal
+sequential workloads, so it is kept per run, built in O(runs) at a
+call's first test of it from a fact of the task tuple
+(``TaskOrders.last_ahead``).  Otherwise it computes the makespan from
+buckets of equal finish times: it keeps the parallel tasks as a
+multiset of (W_i, P_i) classes, one bucket per class, brought up to the
+current step only when a rebuild needs it, so a rebuild costs
+O(classes + runs of equal sequential workloads), not O(tasks).
 That walk stops, too, at the first run from which the bound covers the
 rest, when no finish placed so far exceeds the longest task's duration.
 ``ScheduleResult.routes`` counts the makespans each way settled.
 
 It places the tasks once, for the best processor counts found, in the
 LPT placement pass that ``lpt_schedule`` also runs: one pass builds the
-rows and the processor groups and gives the makespan.  It takes the
-parallel prefix and the sequential suffix as two lists and keeps each
-processor as one int key, ``finish * procs + p``.  A built schedule
+rows, which hold the processor groups, and gives the makespan.  It takes
+the parallel prefix and the sequential suffix as two lists and keeps
+each processor as one int key, ``finish * procs + p``.  A built schedule
 keeps integer clocks until its start and finish times are read; only
 then are they made exact ``Fraction``s (see ``Schedule``).
 """
@@ -192,7 +193,6 @@ def _lpt_place(
     denom = lcm(*(pi[i] for i in parallel))
     fin = [0] * procs
     rows: List[List[int]] = [[] for _ in range(procs)]
-    groups = {}
 
     nxt = 0
     for i in sorted(parallel, key=lambda j: (-workloads[j] * (denom // pi[j]), ids[j])):
@@ -202,25 +202,16 @@ def _lpt_place(
         fin[nxt:nxt + k] = [workloads[i] * (denom // k)] * k
         for row in rows[nxt:nxt + k]:
             row.append(tid)
-        groups[tid] = frozenset(range(nxt, nxt + k))
         nxt += k
 
     heap = [f * procs + p for p, f in enumerate(fin)]
     heapq.heapify(heap)
     unit = denom * procs
-    # one frozenset per processor, shared by its sequential tasks
-    alone: List[Optional[frozenset]] = [None] * procs
     for i in sequential:
-        tid = ids[i]
         key = heap[0]
-        p = key % procs
-        rows[p].append(tid)
-        group = alone[p]
-        if group is None:
-            group = alone[p] = frozenset((p,))
-        groups[tid] = group
+        rows[key % procs].append(ids[i])
         heapq.heapreplace(heap, key + workloads[i] * unit)
-    schedule = Schedule(tuple(map(tuple, rows)), groups, orders.items)
+    schedule = Schedule(tuple(map(tuple, rows)), orders.items)
     return schedule, (max(heap) // procs, denom)
 
 
@@ -370,11 +361,11 @@ class _StepLog:
     no step is ever rewritten.  ``first_wide`` is the first step with
     d > 1, once one is logged: a walk that takes it is restricted.
 
-    The frontier is the state before the last logged step: its P_i
-    (``pi``), and its parallel tasks in a heap, longest first
-    (``parallel``).  The parallel tasks are the prefix ``order[:k]`` of
-    the sequential LPT order, k the heap's size, and the longest
-    sequential task is ``order[k]``.
+    The frontier is the state before the last logged step: its parallel
+    tasks in a heap, longest first (``parallel``), each entry holding its
+    task's P_i, the only copy of it.  The parallel tasks are the prefix
+    ``order[:k]`` of the sequential LPT order, k the heap's size, and the
+    longest sequential task is ``order[k]``, at P_i = 1.
 
     ``settled`` serves a P >= n from three lists with one entry per step
     s logged, which it extends up to the last logged step: the sum of all
@@ -383,8 +374,7 @@ class _StepLog:
     s steps (``best``).
     """
 
-    __slots__ = ("workloads", "steps", "first_wide", "pi", "parallel", "sums", "ks", "best",
-                 "__weakref__")
+    __slots__ = ("workloads", "steps", "first_wide", "parallel", "sums", "ks", "best")
 
     def __init__(self, orders: TaskOrders):
         n = len(orders.order)
@@ -392,7 +382,6 @@ class _StepLog:
         # P_i = 1 is below any cutoff, or 1 -> 2 is the step to the next approximate square
         self.steps = [(orders.order[0], 1, 1)]
         self.first_wide: Optional[int] = None
-        self.pi = [1] * n
         self.parallel: List[_Longer] = []
         self.sums, self.ks, self.best = [n], [0], [0]
 
@@ -478,14 +467,9 @@ def part_schedule(
     log = orders.step_logs.get(cutoff)
     if log is None:
         log = orders.step_logs[cutoff] = _StepLog(orders)
-    steps, frontier, parallel = log.steps, log.pi, log.parallel
-
-    # Graham: sequential task j finishes by (W_par + prefix_j)/P + W_j, and
-    # W_par + prefix_j is the workload ahead of j in ``order``.  Within a run
-    # that peaks at the run's last task, so reach[r] is P times the largest
-    # such bound over the tasks of runs[r:], and it never grows with r.
-    reach = [ahead + procs * w for ahead, (w, _) in zip(orders.last_ahead, runs)]
-    reach = list(accumulate(reversed(reach), max))[::-1]
+    steps, parallel = log.steps, log.parallel
+    # Graham's bound per run, built at its first test
+    reach: Optional[List[int]] = None
 
     # makespans found by the idle-processor cut, Graham's bound at order[k],
     # Graham's bound mid-walk, and a walk to the end
@@ -524,21 +508,30 @@ def part_schedule(
             # each sequential task runs alone from time 0
             routes[0] += 1
             top, den = w, p
-        elif reach[r] * p <= procs * w:
-            routes[1] += 1
-            top, den = w, p
         else:
-            for i, q, e in steps[taken:s]:
-                v = workloads[i]
-                if q > 1:
-                    if classes[v, q] == 1:
-                        del classes[v, q]
-                    else:
-                        classes[v, q] -= 1
-                classes[v, q + e] = classes.get((v, q + e), 0) + 1
-            taken = s
-            top, den, cut = _lpt_makespan(classes, runs, r, ends[r] - k, procs, reach, (w, p))
-            routes[2 if cut else 3] += 1
+            if reach is None:
+                # Graham: sequential task j finishes by (W_par + prefix_j)/P + W_j,
+                # and W_par + prefix_j is the workload ahead of j in ``order``.
+                # Within a run that peaks at the run's last task, so reach[r] is P
+                # times the largest such bound over the tasks of runs[r:], and it
+                # never grows with r.
+                reach = [ahead + procs * v for ahead, (v, _) in zip(orders.last_ahead, runs)]
+                reach = list(accumulate(reversed(reach), max))[::-1]
+            if reach[r] * p <= procs * w:
+                routes[1] += 1
+                top, den = w, p
+            else:
+                for i, q, e in steps[taken:s]:
+                    v = workloads[i]
+                    if q > 1:
+                        if classes[v, q] == 1:
+                            del classes[v, q]
+                        else:
+                            classes[v, q] -= 1
+                    classes[v, q + e] = classes.get((v, q + e), 0) + 1
+                taken = s
+                top, den, cut = _lpt_makespan(classes, runs, r, ends[r] - k, procs, reach, (w, p))
+                routes[2 if cut else 3] += 1
         if top * cur_den > cur_top * den:
             stop_reason = "worse"
             break
@@ -574,16 +567,15 @@ def part_schedule(
                 size = len(parallel)
                 if (size > 1 and parallel[1] < head) or (size > 2 and parallel[2] < head):
                     heapq.heapreplace(parallel, head)
-            frontier[j] = p + d
-            # the longest task: the heap's top or order[k], W_i/1 against W/P cross-multiplied
+            # the longest task and its P_i: the heap's top, or order[k] at P_i = 1,
+            # W_i/1 against W/P cross-multiplied
             head = parallel[0]
-            i = head.i
+            i, q = head.i, head.p
             if k < n:
                 t = order[k]
-                v = workloads[t] * head.p
+                v = workloads[t] * q
                 if v > head.w or (v == head.w and ids[t] < head.tid):
-                    i = t
-            q = frontier[i]
+                    i, q = t, 1
             e = 1 if cutoff is None or q < cutoff else next_approx_square_increment(q)
             if e > 1 and log.first_wide is None:
                 log.first_wide = s

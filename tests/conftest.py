@@ -27,6 +27,15 @@ def sparse_partition(n_procs, pieces):
     return ms.PartitionMap(tuple(pieces), tuple(loads))
 
 
+def groups_of(schedule):
+    """Task id -> the frozenset of processors whose rows hold it, read off the rows."""
+    groups = {}
+    for p, row in enumerate(schedule.rows):
+        for tid in row:
+            groups.setdefault(tid, set()).add(p)
+    return {tid: frozenset(group) for tid, group in groups.items()}
+
+
 @pytest.fixture(scope="session")
 def interposer():
     return ms.gen_interposer()

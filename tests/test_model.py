@@ -98,8 +98,7 @@ def test_validator_accepts_scheduler_output():
 
 def test_schedule_keeps_the_workloads_it_was_built_with():
     tasks = [ms.TaskSpec(0, 6, 2), ms.TaskSpec(1, 3)]
-    groups = {0: frozenset({0, 1}), 1: frozenset({1})}
-    schedule = ms.Schedule(((0,), (0, 1)), groups, tasks)
+    schedule = ms.Schedule(((0,), (0, 1)), tasks)
     # the list changes before the times are first read
     tasks[0] = ms.TaskSpec(0, 60, 2)
     tasks.pop()
@@ -108,17 +107,17 @@ def test_schedule_keeps_the_workloads_it_was_built_with():
     check_schedule(schedule, list(schedule.tasks), 2)
     # a tuple is kept as it is
     frozen = tuple(schedule.tasks)
-    assert ms.Schedule(schedule.rows, groups, frozen).tasks is frozen
+    assert ms.Schedule(schedule.rows, frozen).tasks is frozen
 
 
 def stand_in(schedule, **changes):
-    """The four attributes check_schedule reads, with some of them changed.
+    """The three attributes check_schedule reads, with some of them changed.
 
     A Schedule makes its own times from its rows, so a broken one is
     built as this stand-in.
     """
     attrs = {name: getattr(schedule, name)
-             for name in ("rows", "start_times", "proc_assignment", "finish_times")}
+             for name in ("rows", "start_times", "finish_times")}
     return SimpleNamespace(**{**attrs, **changes})
 
 
@@ -159,7 +158,6 @@ def test_validator_rejects_late_first_slot():
     schedule = SimpleNamespace(
         rows=((0,), (0,), (1,)),
         start_times=((Fraction(1),), (Fraction(1),), (Fraction(1),)),
-        proc_assignment={0: frozenset({0, 1}), 1: frozenset({2})},
         finish_times=(Fraction(5), Fraction(5), Fraction(4)),
     )
     with pytest.raises(ms.InvariantViolationError, match="start 1 != expected 0"):
@@ -185,7 +183,6 @@ def test_validator_rejects_overbooked_parallel_budget():
             (Fraction(0), Fraction(4)),
             (Fraction(4),),
         ),
-        proc_assignment={0: frozenset({0, 1}), 1: frozenset({1, 2})},
         finish_times=(Fraction(4), Fraction(7), Fraction(7)),
     )
     with pytest.raises(ms.InvariantViolationError):

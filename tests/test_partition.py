@@ -11,7 +11,7 @@ import moldsched as ms
 from moldsched.model import ObjectOrders
 from moldsched.partition import TaskListAssignment
 
-from conftest import dense_partition, sparse_partition
+from conftest import dense_partition, groups_of, sparse_partition
 
 
 def objects_of(edges):
@@ -99,7 +99,7 @@ def destined_shares(schedule, assignment, partition):
     """
     row_owner = row_to_process(assignment)
     shares = {}
-    for tid, rows in schedule.proc_assignment.items():
+    for tid, rows in groups_of(schedule).items():
         group = sorted(row_owner[r] for r in rows)
         base, rem = divmod(sum(e for _, e in partition.pieces[tid]), len(group))
         shares[tid] = {p: base + 1 if idx < rem else base for idx, p in enumerate(group)}
@@ -431,7 +431,7 @@ def one_parallel_task(procs, rows, pieces):
     """A schedule of one parallel task on ``rows``, and its object's pieces."""
     members = frozenset(rows)
     rows_of = tuple((0,) if r in members else () for r in range(procs))
-    schedule = ms.Schedule(rows_of, {0: members}, [ms.TaskSpec(0, 1, len(members))])
+    schedule = ms.Schedule(rows_of, [ms.TaskSpec(0, 1, len(members))])
     return schedule, sparse_partition(procs, (pieces,))
 
 
@@ -544,11 +544,10 @@ class TestAgainstDenseReference:
         # parallel tasks 0 and 1 run on rows 0-2, and sequential task 2 on row 3;
         # with row 1's slots swapped, rows 0 and 2 form one class and row 1
         # another, of equal overlaps: process 2 ties rows 1 and 2 and takes row 1
-        assignment = {0: frozenset((0, 1, 2)), 1: frozenset((0, 1, 2)), 2: frozenset((3,))}
         tasks = [ms.TaskSpec(0, 3, 3), ms.TaskSpec(1, 3, 3), ms.TaskSpec(2, 1)]
         part = dense_partition(np.array([[0, 0, 5], [1, 2, 0], [0, 1, 0], [4, 0, 1]]))
         for rows in (((0, 1), (1, 0), (0, 1), (2,)), ((0, 1),) * 3 + ((2,),)):
-            schedule = ms.Schedule(rows, assignment, tasks)
+            schedule = ms.Schedule(rows, tasks)
             got = ms.assign_task_lists(schedule, part)
             assert got == TaskListAssignment((3, 0, 1, 2), (5, 3, 1, 4))
             assert_matches_reference(schedule, part, ms.MachineModel())
@@ -606,14 +605,13 @@ def grouped_cases(draw):
     # sequential tasks: one on a plain row, one on a group row, the rest anywhere
     seq_rows = [plain[-1], groups[0][-1]] + draw(st.lists(st.integers(0, procs - 1), max_size=8))
     rows = [[] for _ in range(procs)]
-    assignment = {}
-    for tid, members in enumerate(groups + [[r] for r in seq_rows]):
+    members_of = groups + [[r] for r in seq_rows]
+    for tid, members in enumerate(members_of):
         for r in members:
             rows[r].append(tid)
-        assignment[tid] = frozenset(members)
     rows = [tuple(draw(st.permutations(row))) for row in rows]
-    tasks = [ms.TaskSpec(tid, 1, len(members)) for tid, members in assignment.items()]
-    schedule = ms.Schedule(tuple(rows), assignment, tasks)
+    tasks = [ms.TaskSpec(tid, 1, len(members)) for tid, members in enumerate(members_of)]
+    schedule = ms.Schedule(tuple(rows), tasks)
 
     n = len(tasks)
     owned = np.array(draw(st.lists(

@@ -3,6 +3,7 @@ import random
 import weakref
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 import moldsched as ms
 from moldsched.model import TaskOrders, check_schedule
+
+from conftest import groups_of
 
 
 def make_tasks(durations):
@@ -86,7 +89,7 @@ class TestLpt:
         tasks = [ms.TaskSpec(0, 8, 2), ms.TaskSpec(1, 3, 1), ms.TaskSpec(2, 2, 1)]
         result = ms.lpt_schedule(tasks, 3)
         # parallel task occupies processors 0,1 from time zero
-        assert result.schedule.proc_assignment[0] == frozenset({0, 1})
+        assert groups_of(result.schedule)[0] == frozenset({0, 1})
         assert result.schedule.start_times[0][0] == 0
         assert result.schedule.start_times[1][0] == 0
         check_schedule(result.schedule, tasks, 3)
@@ -544,8 +547,8 @@ def test_property_part_schedule_is_valid(workloads, procs, cutoff):
     result = ms.part_schedule(tasks, procs, cutoff)
     check_schedule(result.schedule, tasks, procs)
     assert result.c_max == result.schedule.makespan()
-    groups = [len(result.schedule.proc_assignment[t.object_id]) for t in tasks]
-    assert tuple(groups) == result.procs_per_task
+    sizes = result.schedule.group_sizes
+    assert tuple(sizes[t.object_id] for t in tasks) == result.procs_per_task
 
 
 @settings(max_examples=150, deadline=None)
@@ -564,7 +567,7 @@ def test_property_lpt_schedule_is_valid(workloads, procs, data):
     result = ms.lpt_schedule(tasks, procs)
     check_schedule(result.schedule, tasks, procs)
     assert result.c_max == result.schedule.makespan()
-    assert all(len(result.schedule.proc_assignment[t.object_id]) == t.procs for t in tasks)
+    assert all(result.schedule.group_sizes[t.object_id] == t.procs for t in tasks)
 
 
 @settings(max_examples=200, deadline=None)
@@ -626,7 +629,7 @@ def test_step_logs_are_released(monkeypatch):
     made = []
 
     class Recorded(ms.sched._StepLog):
-        __slots__ = ()
+        __slots__ = ("__weakref__",)
 
         def __init__(self, *args):
             super().__init__(*args)
@@ -649,7 +652,7 @@ def assert_results_equal(a, b):
     assert (a.c_max, a.procs_per_task, a.iterations_taken, a.restricted, a.stop_reason) == (
         b.c_max, b.procs_per_task, b.iterations_taken, b.restricted, b.stop_reason)
     assert a.schedule.rows == b.schedule.rows
-    assert a.schedule.proc_assignment == b.schedule.proc_assignment
+    assert groups_of(a.schedule) == groups_of(b.schedule)
     assert a.schedule.start_times == b.schedule.start_times
     assert a.schedule.finish_times == b.schedule.finish_times
 
@@ -722,7 +725,7 @@ def reference_lpt_placement(tasks, procs):
     longest W_i/P_i first, ties to the lowest id.  Parallel tasks take
     contiguous groups from processor 0; sequential tasks then go to the
     earliest-finishing processor, ties to the lowest processor id.
-    Returns (rows, proc_assignment, c_max).
+    Returns (rows, groups, c_max), groups mapping each task id to its processors.
     """
     order = sorted(tasks, key=lambda t: (-Fraction(t.workload, t.procs), t.object_id))
     fin = [Fraction(0)] * procs
@@ -768,7 +771,7 @@ def test_property_lpt_schedule_matches_reference(workloads, procs, data):
     result = ms.lpt_schedule(tasks, procs)
     rows, assignment, c_max = reference_lpt_placement(tasks, procs)
     assert result.schedule.rows == rows
-    assert dict(result.schedule.proc_assignment) == assignment
+    assert groups_of(result.schedule) == assignment
     assert result.c_max == c_max
     check_schedule(result.schedule, tasks, procs)
 
@@ -792,6 +795,20 @@ def reference_times(result, tasks, procs):
         start_times.append(tuple(starts))
         finish_times.append(clock)
     return tuple(start_times), tuple(finish_times)
+
+
+def test_parallel_tasks_on_rows_apart():
+    # task 0 runs on rows 0 and 2, and task 2 on rows 0 and 3, after task 0 on
+    # row 0 and task 3 on row 3: neither group is contiguous, and each task's
+    # P_i is the number of rows holding it
+    tasks = [ms.TaskSpec(0, 6, 2), ms.TaskSpec(1, 5), ms.TaskSpec(2, 8, 2), ms.TaskSpec(3, 3)]
+    schedule = ms.Schedule(((0, 2), (1,), (0,), (3, 2)), tasks)
+    assert schedule.group_sizes == {0: 2, 1: 1, 2: 2, 3: 1}
+    result = SimpleNamespace(schedule=schedule, procs_per_task=(2, 1, 2, 1))
+    starts, finish = reference_times(result, tasks, 4)
+    assert (schedule.start_times, schedule.finish_times) == (starts, finish)
+    assert finish == (7, 5, 3, 7)
+    check_schedule(schedule, tasks, 4)
 
 
 def assert_times_match_reference(result, tasks, procs, read_makespan_first):
