@@ -46,7 +46,6 @@ from .sim import (
     dense_task_time,
     external_phase_time,
     grid_factors,
-    internal_makespan_no_redist,
     run_strategy,
     simulate,
 )

@@ -41,7 +41,7 @@ class InvalidScenarioError(SchedulingError):
 
 
 class ShapeError(SchedulingError):
-    """Mismatched process/row counts between a schedule and a partition."""
+    """Mismatched process, row or object counts between a schedule, a partition and a scenario."""
 
 
 class InvariantViolationError(SchedulingError):

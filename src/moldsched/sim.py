@@ -12,19 +12,18 @@ own its pieces (owner-computes), all of them starting together.  Its
 schedule is priced twice per cell: in float seconds for the report and
 in exact work units for the normalized length.  Which processes each
 task blocks, and the order in which one process's tasks start, are the
-same for both, so they are read from the pieces once per partition and
-objects tuple, into an ``_OwnerPlan`` kept while the partition lives,
-and each pass replays it with its own durations.  The split objects
-join the processes they touch into independent groups that never delay
-one another, so a pass replays each group on its own, with the same
-result as one schedule over all processes.
+same for both, so ``run_strategy`` reads them from the pieces once per
+cell, into an ``_OwnerPlan``, and each pass replays it with its own
+durations.  The split objects join the processes they touch into
+independent groups that never delay one another, so a pass replays each
+group on its own, with the same result as one schedule over all
+processes.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,6 +37,7 @@ from .model import (
     ObjectOrders,
     PartitionMap,
     Scenario,
+    ShapeError,
     TaskSpec,
     plain_sum,
 )
@@ -224,20 +224,6 @@ class _OwnerPlan:
                 heapq.heapify(group)
                 self.heaps.append(group)
 
-    @classmethod
-    def of(cls, objects: Sequence[Object], partition: PartitionMap) -> "_OwnerPlan":
-        """The plan of ``partition``, kept for its last objects tuple while it lives.
-
-        A list of objects may change in place, so its plan is never kept.
-        """
-        memo = _owner_plans.get(partition)
-        if memo is not None and memo[0] is objects:
-            return memo[1]
-        plan = cls(objects, partition)
-        if isinstance(objects, tuple):
-            _owner_plans[partition] = (objects, plan)
-        return plan
-
     def replay(self, durations: Sequence):
         """(makespan, per-process busy time) with these per-position durations.
 
@@ -294,50 +280,38 @@ class _OwnerPlan:
         return max(free, default=0), busy
 
 
-# partition -> (objects, its plan); an entry is freed with its partition,
-# and no plan refers to its partition, so none keeps it alive
-_owner_plans = weakref.WeakKeyDictionary()
-
-
 def _idle_fraction(makespan: float, busy: Sequence, procs: int) -> float:
     if procs == 0 or makespan <= 0:
         return 0.0
     return float(plain_sum((makespan - b) / makespan for b in busy) / procs)
 
 
-def internal_makespan_no_redist(
-    objects: Sequence[Object], partition: PartitionMap, machine: MachineModel
-) -> Tuple[float, float]:
+def internal_makespan_no_redist(plan: _OwnerPlan, machine: MachineModel) -> Tuple[float, float]:
     """Internal-phase makespan and idle fraction when tasks run on partition owners.
 
     Each object's task executes on exactly the processes owning its
     external-problem partitions, all starting simultaneously, so tasks
     sharing a process block each other.  Zero-edge objects carry no work
     and are skipped.  A whole object's task takes t_work * W seconds, the
-    float ``_dense_seconds(W, 1, machine)`` gives.  The partition's owner
-    plan is replayed with these durations.
+    float ``_dense_seconds(W, 1, machine)`` gives.  The cell's owner plan
+    is replayed with these durations.
     """
-    procs = partition.n_procs
-    plan = _OwnerPlan.of(objects, partition)
     t_work = machine.t_work
     durations = [t_work * w for w in plan.workloads]
     for i, g in plan.split:
         durations[i] = _dense_seconds(plan.workloads[i], len(g), machine)
     makespan, busy = plan.replay(durations)
-    return float(makespan), _idle_fraction(float(makespan), busy, procs)
+    return float(makespan), _idle_fraction(float(makespan), busy, plan.procs)
 
 
-def _no_redist_work_units(
-    objects: Sequence[Object], partition: PartitionMap
-) -> Fraction:
+def _no_redist_work_units(plan: _OwnerPlan) -> Fraction:
     """Work-unit makespan of the owner-group schedule (for normalized lengths).
 
     Durations W_i / P_i are scaled by the lcm L of the group sizes, so the
     schedule runs on integers and its makespan is exact over L.  When no
     object is split, L is 1 and the durations are the workloads.  The
-    partition's owner plan is replayed with these durations.
+    cell's owner plan is replayed with these durations.
     """
-    plan = _OwnerPlan.of(objects, partition)
     scale = math.lcm(*(len(g) for _, g in plan.split))
     durations = plan.workloads
     if scale > 1:
@@ -377,21 +351,29 @@ def run_strategy(
 
     ``partition`` is the external partition of ``scenario.objects`` onto
     ``procs`` processes, as an earlier run at the same P returned it;
-    when it is None it is built here.  A report with a figure that is
-    not finite raises ``InvalidScenarioError``.
+    when it is None it is built here.  A partition of another P or
+    another object count raises ``ShapeError``, and a report with a
+    figure that is not finite raises ``InvalidScenarioError``.
     """
+    objects = scenario.objects
+    if partition is None:
+        partition = partition_external(objects, procs)
+    elif (partition.n_procs, partition.n_objects) != (procs, len(objects)):
+        raise ShapeError(
+            f"partition of {partition.n_objects} objects onto {partition.n_procs} "
+            f"processes does not fit {len(objects)} objects at P={procs}"
+        )
     tasks = scenario.tasks()
     machine = scenario.machine
-    if partition is None:
-        partition = partition_external(scenario.objects, procs)
     external = external_phase_time(partition, machine)
     ideal = ideal_length(tasks, procs)
 
     if strategy is StrategyKind.NO_REDISTRIBUTION:
-        internal, idle = internal_makespan_no_redist(scenario.objects, partition, machine)
+        plan = _OwnerPlan(objects, partition)
+        internal, idle = internal_makespan_no_redist(plan, machine)
         comm = (0, 0, 0.0)
         schedule_result = None
-        c_max_wu = _no_redist_work_units(scenario.objects, partition)
+        c_max_wu = _no_redist_work_units(plan)
     else:
         cutoff = scenario.cutoff if strategy is StrategyKind.PROPOSED else None
         schedule_result = part_schedule(tasks, procs, cutoff)

@@ -47,6 +47,12 @@ def srr():
 
 
 @pytest.fixture(scope="session")
+def random300():
+    """The random file of the CLI's golden sweeps: 300 objects, edges 50..1500, seed 3."""
+    return ms.gen_random(300, (50, 1500), 3)
+
+
+@pytest.fixture(scope="session")
 def parity_records(interposer, srr):
     """Modified vs original schedules for both structures over the full sweep.
 

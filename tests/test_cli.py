@@ -496,6 +496,12 @@ GOLDEN_SWEEPS = {
     ("bus", "20:1000:60"): "d8467c12102470577c19231677027429c318768c71a49abe00f8af02f9218f22",
     # unequal sizes: every (W, P) class holds one task
     ("random", "40:1000:120"): "6a5d08b124855d8f676cda36e7bcef76d9a0df0691db4c06e0560a9675cec49e",
+    # past P = 1000, as the no-numpy CI job sweeps them; every object of the
+    # random file is split at these P.  Recorded before the no-redist owner
+    # plan was built in run_strategy.
+    ("srr", "1000:4000:1000"): "9ee4390a95f0b7ff27e3844e538004c58d17f6a9faf2b0a9fa5bc20b2c2fdcfa",
+    ("interposer", "640:2560:640"): "6098ddd9f5757e38ba0f710c2cfc09ebe5213a054fc6f6b13f7993c1f529d06a",
+    ("random", "1000:4000:1000"): "48a24c93394dd663c4daecc61049213b99965dfb449cf5172366c920437f3603",
 }
 GOLDEN_GEN_ARGS = {
     "bus": ("--pairs", "40"),

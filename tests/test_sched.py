@@ -155,6 +155,15 @@ class TestPartSchedule:
             assert parallel <= procs
             check_schedule(result.schedule, tasks, procs)
 
+    def test_valid_past_p_1000(self, srr, interposer, random300):
+        for scenario in (srr, interposer, random300):
+            tasks = scenario.tasks()
+            for procs in (1280, 2000, 2560, 4000):
+                for cutoff in (scenario.cutoff, None):
+                    result = ms.part_schedule(tasks, procs, cutoff)
+                    check_schedule(result.schedule, tasks, procs)
+                    assert result.c_max == result.schedule.makespan()
+
     def test_finite_cutoff_keeps_large_counts_in_set(self):
         result = ms.part_schedule([ms.TaskSpec(0, 10**8)], 600, cutoff=20)
         (k,) = result.procs_per_task

@@ -1,8 +1,6 @@
-import gc
 import heapq
 import math
 import random
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -11,18 +9,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moldsched as ms
+from moldsched.cli import main
 from moldsched.model import ObjectOrders
 from moldsched.sim import (
     StrategyKind,
     _idle_fraction,
     _no_redist_work_units,
     _OwnerPlan,
-    _owner_plans,
     _schedule_seconds,
+    internal_makespan_no_redist,
     run_strategy,
 )
 
 from conftest import dense_partition, sparse_partition
+
+
+def no_redist_seconds(objects, partition, machine):
+    """The float no-redist pass on the plan of ``partition``."""
+    return internal_makespan_no_redist(_OwnerPlan(objects, partition), machine)
+
+
+def no_redist_units(objects, partition):
+    """The exact no-redist pass on the plan of ``partition``."""
+    return _no_redist_work_units(_OwnerPlan(objects, partition))
 
 
 def reference_simultaneity_schedule(groups, tasks, durations, procs):
@@ -149,7 +158,7 @@ class TestNoRedistribution:
         objs = [ms.Object(0, 10), ms.Object(1, 10)]
         part = dense_partition(np.array([[10, 0], [0, 10]]))
         machine = ms.MachineModel(t_work=1.0, gamma_grid=0.0)
-        makespan, idle = ms.internal_makespan_no_redist(objs, part, machine)
+        makespan, idle = no_redist_seconds(objs, part, machine)
         assert makespan == pytest.approx(100.0)
         assert idle == 0.0
 
@@ -159,7 +168,7 @@ class TestNoRedistribution:
         objs = [ms.Object(0, 10), ms.Object(1, 10)]
         part = dense_partition(np.array([[5, 0], [5, 5], [0, 5]]))
         machine = ms.MachineModel(t_work=1.0, gamma_grid=0.0)
-        makespan, idle = ms.internal_makespan_no_redist(objs, part, machine)
+        makespan, idle = no_redist_seconds(objs, part, machine)
         d = 100 / 2
         assert makespan == pytest.approx(2 * d)
         assert idle == pytest.approx((d + 0 + d) / (2 * d) / 3)
@@ -168,14 +177,14 @@ class TestNoRedistribution:
         objs = [ms.Object(0, 12)]
         part = ms.partition_external(objs, 4)
         machine = ms.MachineModel(t_work=1.0, gamma_grid=0.0)
-        makespan, idle = ms.internal_makespan_no_redist(objs, part, machine)
+        makespan, idle = no_redist_seconds(objs, part, machine)
         assert makespan == pytest.approx(144 / 4)
         assert idle == 0.0
 
 
 class TestNoRedistWorkUnits:
     def _assert_matches(self, objects, partition):
-        got = _no_redist_work_units(objects, partition)
+        got = no_redist_units(objects, partition)
         assert isinstance(got, Fraction)
         assert got == reference_no_redist_work_units(objects, partition)
 
@@ -204,40 +213,19 @@ class TestNoRedistWorkUnits:
         overlap = dense_partition(np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
         for objects, part in ((objs, singletons), (objs, chain), (uneven, overlap)):
             self._assert_matches(objects, part)
-        assert _no_redist_work_units(objs, singletons) == 100
-        assert _no_redist_work_units(objs, chain) == 100
-        assert _no_redist_work_units(uneven, overlap) == Fraction(49, 3) + Fraction(81, 2)
+        assert no_redist_units(objs, singletons) == 100
+        assert no_redist_units(objs, chain) == 100
+        assert no_redist_units(uneven, overlap) == Fraction(49, 3) + Fraction(81, 2)
 
     def test_only_zero_edge_objects_is_zero(self):
         objs = [ms.Object(0, 0), ms.Object(1, 0)]
         part = dense_partition(np.zeros((3, 2), dtype=np.int64))
-        assert _no_redist_work_units(objs, part) == 0
+        assert no_redist_units(objs, part) == 0
         assert reference_no_redist_work_units(objs, part) == 0
 
 
 class TestOwnerGroups:
     """The owner-group plan both no-redist passes replay."""
-
-    def test_built_once_per_partition(self, srr):
-        part = ms.partition_external(srr.objects, 100)
-        plan = _OwnerPlan.of(srr.objects, part)
-        assert _OwnerPlan.of(srr.objects, part) is plan
-        assert plan.workloads is ObjectOrders.of(srr.objects).workloads
-        assert _OwnerPlan.of(list(srr.objects), part) is not plan
-        assert _OwnerPlan.of(srr.objects, ms.partition_external(srr.objects, 100)) is not plan
-        fresh = ms.partition_external(srr.objects, 100)
-        _OwnerPlan.of(list(srr.objects), fresh)
-        assert fresh not in _owner_plans
-
-    def test_freed_with_its_partition(self, srr):
-        part = ms.partition_external(srr.objects, 100)
-        plan = _OwnerPlan.of(srr.objects, part)
-        assert _owner_plans[part] == (srr.objects, plan)
-        gone = weakref.ref(part)
-        del part
-        gc.collect()
-        assert gone() is None
-        assert all(kept is not plan for _, kept in _owner_plans.values())
 
     def test_split_queued_and_unshared_tasks(self):
         # p0 holds whole objects only; the object split over p1 and p2 makes
@@ -245,7 +233,7 @@ class TestOwnerGroups:
         objs = (ms.Object(0, 4), ms.Object(1, 6), ms.Object(2, 5), ms.Object(3, 3),
                 ms.Object(4, 0), ms.Object(5, 4))
         pieces = (((0, 4),), ((1, 3), (2, 3)), ((1, 5),), ((0, 3),), (), ((0, 4),))
-        plan = _OwnerPlan.of(objs, sparse_partition(4, pieces))
+        plan = _OwnerPlan(objs, sparse_partition(4, pieces))
         assert plan.workloads == [16, 36, 25, 9, 16]
         assert plan.split == [(1, [1, 2])]
         assert plan.queues == {1: [2]}
@@ -257,11 +245,11 @@ class TestOwnerGroups:
     def test_follow_the_order_of_the_objects(self):
         objs = [ms.Object(0, 7), ms.Object(1, 0), ms.Object(2, 9)]
         part = dense_partition(np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
-        plan = _OwnerPlan.of(objs, part)
+        plan = _OwnerPlan(objs, part)
         assert plan.workloads == [49, 81]
         assert plan.split == [(1, [0, 2]), (0, [0, 1, 2])]
         assert (plan.queues, plan.unshared) == ({}, [])
-        assert _OwnerPlan.of(objs[::-1], part).split == [(0, [0, 2]), (1, [0, 1, 2])]
+        assert _OwnerPlan(objs[::-1], part).split == [(0, [0, 2]), (1, [0, 1, 2])]
 
 
 def reference_no_redist_seconds(objects, partition, machine):
@@ -279,9 +267,9 @@ def reference_no_redist_seconds(objects, partition, machine):
 
 
 def assert_passes_match_references(objects, part, machine):
-    got = ms.internal_makespan_no_redist(objects, part, machine)
+    got = no_redist_seconds(objects, part, machine)
     assert got == reference_no_redist_seconds(objects, part, machine)
-    assert _no_redist_work_units(objects, part) == reference_no_redist_work_units(objects, part)
+    assert no_redist_units(objects, part) == reference_no_redist_work_units(objects, part)
 
 
 def assert_no_redist_matches_references(objects, procs, machine):
@@ -305,31 +293,34 @@ class TestOrdersPerObjectsTuple:
             for procs in procs_list:
                 assert_no_redist_matches_references(objects, procs, srr.machine)
 
-    def test_plan_built_once_per_cell_for_a_tuple(self, srr, monkeypatch):
+    def test_plan_built_once_per_cell_for_a_tuple(self, srr, tmp_path, monkeypatch):
         built = []
         init = _OwnerPlan.__init__
 
         def counting_init(plan, objects, partition):
-            built.append(objects)
+            built.append((plan, objects))
             init(plan, objects, partition)
 
         monkeypatch.setattr(_OwnerPlan, "__init__", counting_init)
-        run_strategy(srr, StrategyKind.NO_REDISTRIBUTION, 200)
-        assert len(built) == 1 and built[0] is srr.objects
-        for objects, procs_list in alternating_cases(srr):
-            for procs in procs_list:
-                part = ms.partition_external(objects, procs)
-                built.clear()
-                assert_passes_match_references(objects, part, srr.machine)
-                assert_passes_match_references(objects, part, srr.machine)
-                assert len(built) == 1
-                # a list may change between the passes, so each pass reads it again
-                listed = list(objects)
-                built.clear()
-                assert_passes_match_references(listed, part, srr.machine)
-                listed.reverse()
-                assert_passes_match_references(listed, part, srr.machine)
-                assert len(built) == 4 and all(o is listed for o in built)
+        for kind in StrategyKind:
+            built.clear()
+            run_strategy(srr, kind, 200)
+            if kind is StrategyKind.NO_REDISTRIBUTION:
+                ((plan, objects),) = built
+                assert objects is srr.objects
+                assert plan.workloads is ObjectOrders.of(srr.objects).workloads
+            else:
+                assert built == []
+        # a sweep builds one plan per no-redist cell, and none for the others
+        path, out = tmp_path / "srr.json", tmp_path / "sweep.csv"
+        assert main(["gen", "srr", "-o", str(path)]) == 0
+        for strategies, plans in (("no-redist", 3), ("proposed,any-pi", 0),
+                                  ("proposed,any-pi,no-redist", 3)):
+            built.clear()
+            argv = ["sweep", str(path), "--procs", "20:100:40", "--strategies", strategies]
+            assert main(argv + ["-o", str(out)]) == 0
+            assert len(built) == plans
+            assert all(objects == srr.objects for _, objects in built)
 
     def test_list_changed_in_place_is_not_stale(self):
         machine = ms.MachineModel(t_work=1.0, gamma_grid=0.5)
@@ -337,9 +328,9 @@ class TestOrdersPerObjectsTuple:
         for procs in (7, 40):
             assert_no_redist_matches_references(objs, procs, machine)
         part = ms.partition_external(objs, 40)
-        plan = _OwnerPlan.of(objs, part)
+        plan = _OwnerPlan(objs, part)
         objs.reverse()
-        again = _OwnerPlan.of(objs, part)
+        again = _OwnerPlan(objs, part)
         last = len(plan.workloads) - 1
         assert again.workloads == plan.workloads[::-1]
         assert dict(again.split) == {last - i: g for i, g in plan.split}
@@ -362,7 +353,7 @@ def plan_of_groups(groups, edges, procs):
     """
     objects = tuple(ms.Object(i, e) for i, e in enumerate(edges))
     pieces = tuple(tuple((p, 1) for p in g) for g in groups)
-    return _OwnerPlan.of(objects, sparse_partition(procs, pieces))
+    return _OwnerPlan(objects, sparse_partition(procs, pieces))
 
 
 def assert_schedule_matches_reference(groups, edges, durations, procs):
@@ -374,7 +365,7 @@ def assert_schedule_matches_reference(groups, edges, durations, procs):
 
 def assert_owner_schedules_match(objects, partition, machine):
     """The plan replayed with both passes' durations: float seconds and lcm-scaled work units."""
-    plan = _OwnerPlan.of(objects, partition)
+    plan = _OwnerPlan(objects, partition)
     groups = owner_groups(objects, partition)
     tasks = [ms.TaskSpec(0, o.edges * o.edges, len(g))
              for o, g in zip([o for o in objects if o.edges > 0], groups)]
@@ -431,8 +422,13 @@ class TestSimultaneitySchedule:
             shared = {p for pieces in part.pieces if len(pieces) > 1 for p, _ in pieces}
             assert bool(shared) is split and len(shared) < procs
             assert_owner_schedules_match(scenario.objects, part, scenario.machine)
-            units = _no_redist_work_units(scenario.objects, part)
+            units = no_redist_units(scenario.objects, part)
             assert units == reference_no_redist_work_units(scenario.objects, part)
+
+    def test_past_p_1000_match_references(self, srr, interposer, random300):
+        for scenario in (srr, interposer, random300):
+            for procs in (2000, 4000):
+                assert_no_redist_matches_references(scenario.objects, procs, scenario.machine)
 
     def test_zero_durations_match_reference(self, srr):
         machine = ms.MachineModel(t_work=0.0, gamma_grid=0.0)
@@ -626,6 +622,17 @@ class TestSimulate:
             report = ms.simulate(scenario, kind, 2)
             assert report.internal_makespan >= 0
             assert report.idle_fraction >= 0
+
+    def test_partition_that_does_not_fit_the_cell(self, srr, interposer):
+        assert len(interposer.objects) != len(srr.objects)
+        other_p = ms.partition_external(srr.objects, 50)
+        other_scenario = ms.partition_external(interposer.objects, 100)
+        fits = ms.partition_external(srr.objects, 100)
+        for kind in StrategyKind:
+            for part in (other_p, other_scenario):
+                with pytest.raises(ms.ShapeError):
+                    run_strategy(srr, kind, 100, part)
+            assert run_strategy(srr, kind, 100, fits).report == ms.simulate(srr, kind, 100)
 
     def test_report_fields_are_sane(self, interposer):
         report = ms.simulate(interposer, StrategyKind.PROPOSED, 80)
