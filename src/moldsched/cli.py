@@ -107,10 +107,12 @@ def scenario_from_json(text: str) -> Scenario:
             raise InvalidScenarioError(f"object edges must be >= 0, got {edges}")
         objects.append(Object(_json_int(entry["id"], "object id"), edges))
 
-    grid = doc.get("grid", [0, 0, 0])
-    if not isinstance(grid, list):
-        raise InvalidScenarioError(f"grid must be an array, got {grid!r}")
-    grid = tuple(_json_int(g, "grid factor") for g in grid)
+    # a key the file leaves out takes its default from MachineModel or Scenario
+    fields = {}
+    if "grid" in doc:
+        if not isinstance(doc["grid"], list):
+            raise InvalidScenarioError(f"grid must be an array, got {doc['grid']!r}")
+        fields["grid"] = tuple(_json_int(g, "grid factor") for g in doc["grid"])
 
     coeffs = doc.get("machine", {})
     if not isinstance(coeffs, dict):
@@ -121,15 +123,10 @@ def scenario_from_json(text: str) -> Scenario:
     for k, v in coeffs.items():
         if type(v) not in (int, float):
             raise InvalidScenarioError(f"machine coefficient {k} must be a JSON number, got {v!r}")
-    machine = MachineModel(**coeffs, grid=grid)
+    machine = MachineModel(**coeffs, **fields)
 
-    return Scenario(
-        name=doc["name"],
-        objects=tuple(objects),
-        iterations=_json_int(doc.get("iterations", 1), "iterations"),
-        machine=machine,
-        cutoff=_json_int(doc.get("cutoff", 20), "cutoff"),
-    )
+    counts = {k: _json_int(doc[k], k) for k in ("iterations", "cutoff") if k in doc}
+    return Scenario(name=doc["name"], objects=tuple(objects), machine=machine, **counts)
 
 
 def load_scenario(path: str) -> Scenario:

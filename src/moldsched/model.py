@@ -163,7 +163,7 @@ class ObjectOrders(_PerTuple):
     @cached_property
     def workloads(self) -> List[int]:
         """Workload (edges squared) of each object with edges, in the objects' order."""
-        return [o.edges * o.edges for o in self.items if o.edges > 0]
+        return [estimate_workload(o.edges) for o in self.items if o.edges > 0]
 
     @cached_property
     def by_workload(self) -> List[int]:
@@ -466,6 +466,10 @@ def _fits_float(value) -> bool:
         return False
 
 
+# the approximate-square cutoff of a scenario, and of ``sched.part_schedule``
+DEFAULT_CUTOFF = 20
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A named problem instance: objects, solver iterations, machine, cutoff."""
@@ -474,7 +478,7 @@ class Scenario:
     objects: Tuple[Object, ...]
     iterations: int = 1
     machine: MachineModel = field(default_factory=MachineModel)
-    cutoff: int = 20
+    cutoff: int = DEFAULT_CUTOFF
 
     def __post_init__(self):
         if not self.objects:

@@ -47,7 +47,6 @@ def gen_bus(pairs: int) -> Scenario:
         objects=objects,
         iterations=BUS_ITERATIONS[nearest],
         machine=MachineModel(grid=(500, 4 * pairs, 8)),
-        cutoff=20,
     )
 
 
@@ -81,7 +80,6 @@ def gen_srr(class_counts: Optional[Sequence[int]] = None) -> Scenario:
         objects=tuple(objects),
         iterations=43,
         machine=MachineModel(grid=(1000, 1000, 4)),
-        cutoff=20,
     )
 
 
@@ -91,7 +89,8 @@ def gen_interposer() -> Scenario:
     The cage carries 53% of the total internal workload; the lines'
     workload fractions are linearly spaced over 0.3%..0.43% and the whole
     set renormalized.  Edge counts are square roots of those fractions,
-    scaled so the mesh total lands within 128 edges of 449,610.
+    scaled to a mesh total of 449,610 and rounded; the rounded counts sum
+    to 449,610 exactly.
     """
     lo, hi = INTERPOSER_LINE_SHARES
     raw = [INTERPOSER_CAGE_SHARE] + [
@@ -103,12 +102,6 @@ def gen_interposer() -> Scenario:
 
     scale = INTERPOSER_TOTAL_EDGES / plain_sum(roots)
     edges = [round(r * scale) for r in roots]
-    for _ in range(64):
-        got = sum(edges)
-        if abs(got - INTERPOSER_TOTAL_EDGES) <= 128:
-            break
-        scale *= INTERPOSER_TOTAL_EDGES / got
-        edges = [round(r * scale) for r in roots]
 
     objects = tuple(Object(i, e) for i, e in enumerate(edges))
     return Scenario(
@@ -116,7 +109,6 @@ def gen_interposer() -> Scenario:
         objects=objects,
         iterations=76,
         machine=MachineModel(grid=(400, 400, 8)),
-        cutoff=20,
     )
 
 
@@ -132,7 +124,5 @@ def gen_random(n_objects: int, edge_range: Tuple[int, int], seed: int) -> Scenar
     return Scenario(
         name=f"random-{n_objects}x{lo}-{hi}-s{seed}",
         objects=objects,
-        iterations=1,
         machine=MachineModel(grid=(32, 32, 8)),
-        cutoff=20,
     )

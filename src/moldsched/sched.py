@@ -54,6 +54,7 @@ from operator import neg
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .model import (
+    DEFAULT_CUTOFF,
     InfeasibleParallelSetError,
     InstanceTooLargeError,
     InvalidTaskError,
@@ -141,27 +142,22 @@ def next_approx_square_increment(p: int) -> int:
 
     The approximate squares are {Q^2} U {Q(Q+1)} = 1, 2, 4, 6, 9, 12, 16,
     20, 25, 30, 36, ...; process counts in this set factor into near-equal
-    grid dimensions.
+    grid dimensions.  The next one above p is q(q+1) or (q+1)^2, q = isqrt(p).
     """
     if p < 1:
         raise InvalidTaskError(f"p must be >= 1, got {p}")
     q = isqrt(p)
-    for member in (q * q, q * (q + 1), (q + 1) * (q + 1), (q + 1) * (q + 2)):
-        if member > p:
-            return member - p
-    raise AssertionError("unreachable")
+    return (q * (q + 1) if p < q * (q + 1) else (q + 1) * (q + 1)) - p
 
 
 def nearest_approx_square(p: int) -> int:
     """Member of the approximate-square set closest to p (ties: smaller)."""
     if p < 1:
         raise InvalidTaskError(f"p must be >= 1, got {p}")
-    if is_approx_square(p):
-        return p
+    q = isqrt(p)
+    # the largest member <= p: q(q+1) or q^2
+    below = q * (q + 1) if q * (q + 1) <= p else q * q
     above = p + next_approx_square_increment(p)
-    below = p
-    while below > 1 and not is_approx_square(below):
-        below -= 1
     return below if p - below <= above - p else above
 
 
@@ -400,7 +396,7 @@ class _StepLog:
 def part_schedule(
     tasks: Sequence[TaskSpec],
     procs: int,
-    cutoff: Optional[int] = 20,
+    cutoff: Optional[int] = DEFAULT_CUTOFF,
 ) -> ScheduleResult:
     """Iterative moldable schedule: parallelize the longest task, rebuild by LPT.
 
@@ -490,9 +486,8 @@ def part_schedule(
         j, p, _ = steps[s]
         best_top, best_den = workloads[j], p
         best_steps = log.best[s]
-        best_k = log.ks[best_steps]
     else:
-        s = k = best_steps = best_k = 0
+        s = k = best_steps = 0
         budget = procs
         # 1/0 stands for an infinite makespan: the first one found is not
         # worse, and is the best so far
@@ -538,7 +533,7 @@ def part_schedule(
         cur_top, cur_den = top, den
         if top * best_den < best_top * den:
             best_top, best_den = top, den
-            best_steps, best_k = s, k
+            best_steps = s
         if budget <= 0:
             stop_reason = "budget"
             break
@@ -584,9 +579,10 @@ def part_schedule(
     pi = [1] * n
     for i, p, d in islice(steps, best_steps):
         pi[i] = p + d
-    # the placement's makespan is best_top / best_den: the same LPT pass.  Its
-    # parallel tasks are order[:best_k], and its sequential tasks
-    # order[best_k:], already longest first.
+    # the placement's makespan is best_top / best_den: the same LPT pass.  The
+    # grown tasks are the parallel ones, the prefix order[:best_k], and its
+    # sequential tasks order[best_k:], already longest first.
+    best_k = n - pi.count(1)
     schedule, (top, den) = _lpt_place(orders, pi, order[:best_k], order[best_k:], procs)
     return ScheduleResult(
         schedule=schedule,

@@ -96,10 +96,10 @@ def grid_factors(p: int) -> Tuple[int, int]:
     """Factor p = r*c with r <= c minimizing r + c (the process-grid shape)."""
     if p < 1:
         raise InvalidTaskError(f"p must be >= 1, got {p}")
-    for r in range(math.isqrt(p), 0, -1):
-        if p % r == 0:
-            return r, p // r
-    raise AssertionError("unreachable")
+    r = math.isqrt(p)
+    while p % r:
+        r -= 1
+    return r, p // r
 
 
 def dense_task_time(task: TaskSpec, machine: MachineModel) -> float:

@@ -79,6 +79,15 @@ class TestScenarioRoundTrip:
         text = scenario_to_json(scenario)
         assert scenario_to_json(scenario_from_json(text)) == text
 
+    def test_omitted_keys_take_the_defaults(self):
+        objects = (ms.Object(0, 7), ms.Object(1, 3))
+        parsed = scenario_from_json(
+            '{"name": "x", "objects": [{"id": 0, "edges": 7}, {"id": 1, "edges": 3}]}'
+        )
+        assert parsed == ms.Scenario("x", objects)
+        doc = json.loads(scenario_to_json(parsed))
+        assert (doc["cutoff"], doc["iterations"], doc["grid"]) == (20, 1, [0, 0, 0])
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ms.InvalidScenarioError):
             scenario_from_json('{"name": "x", "objects": [], "extra": 1}')
@@ -106,12 +115,14 @@ BAD_SCENARIOS = {
     "float grid factor": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "grid": [2.7, 2, 2]}',
     "grid not an array": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "grid": 8}',
     "string cutoff": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "cutoff": "20"}',
+    "zero cutoff": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "cutoff": 0}',
     "float iterations": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "iterations": 1.5}',
     "bool coefficient": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "machine": {"t_work": true}}',
     "string coefficient": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "machine": {"t_work": "1"}}',
     "machine not a map": '{"name": "x", "objects": [{"id": 0, "edges": 7}], "machine": ["t_work"]}',
     "name not a string": '{"name": 5, "objects": [{"id": 0, "edges": 7}]}',
     "name missing": '{"objects": [{"id": 0, "edges": 7}]}',
+    "not an object": '[{"name": "x", "objects": [{"id": 0, "edges": 7}]}]',
     "no objects": '{"name": "x", "objects": []}',
     # integers the simulation converts to floats, beyond the float range
     "huge coefficient": '{"name": "x", "objects": [{"id": 0, "edges": 7}], '
@@ -316,6 +327,18 @@ class TestSchedule:
         _, out, _ = run_cli(capsys, "schedule", str(path), "--procs", "6", "--cutoff", "20")
         assert "cutoff 20\n" in out and "normalized_length 1.08\n" in out
 
+    def test_unlimited_cutoff(self, bus5, capsys):
+        code, out, _ = run_cli(capsys, "schedule", str(bus5), "--procs", "20",
+                               "--cutoff", "unlimited")
+        assert code == 0
+        assert "cutoff unlimited\n" in out
+
+    @pytest.mark.parametrize("cutoff", ["0", "x"])
+    def test_bad_cutoff_usage_error(self, cutoff, bus5, capsys):
+        code, out, _ = run_cli(capsys, "schedule", str(bus5), "--procs", "20",
+                               "--cutoff", cutoff)
+        assert (code, out) == (1, "")
+
     def test_csv_emission(self, bus5, tmp_path, capsys):
         csv_path = tmp_path / "tasks.csv"
         code, _, _ = run_cli(
@@ -385,6 +408,16 @@ class TestSweep:
         run_cli(capsys, "gen", "bus", "--pairs", "2", "-o", str(path))
         code, _, _ = run_cli(capsys, "sweep", str(path), "--procs", "nope")
         assert code == 1
+
+    @pytest.mark.parametrize("args", [("--procs", "1:2"),
+                                      ("--procs", "2", "--strategies", ","),
+                                      ("--procs", "2", "--strategies", "bogus")],
+                             ids=["two-part range", "no strategy", "unknown strategy"])
+    def test_bad_arguments_usage_error(self, args, tmp_path, capsys):
+        path = tmp_path / "bus.json"
+        run_cli(capsys, "gen", "bus", "--pairs", "2", "-o", str(path))
+        code, out, _ = run_cli(capsys, "sweep", str(path), *args)
+        assert (code, out) == (1, "")
 
     @pytest.mark.parametrize("procs", ["0", "-3"])
     def test_single_procs_below_one_is_usage_error(self, procs, tmp_path, capsys):

@@ -139,6 +139,22 @@ def test_validator_rejects_missing_task():
         check_schedule(schedule, extra, 2)
 
 
+def test_validator_rejects_unknown_task_in_row():
+    tasks = [ms.TaskSpec(i, w) for i, w in enumerate([5, 4])]
+    schedule = ms.lpt_schedule(tasks, 2).schedule
+    broken = stand_in(schedule, rows=((0,), (1, 7)))
+    with pytest.raises(ms.InvariantViolationError, match="row 1 contains unknown task 7"):
+        check_schedule(broken, tasks, 2)
+
+
+def test_validator_rejects_task_twice_in_one_row():
+    tasks = [ms.TaskSpec(i, w) for i, w in enumerate([5, 4])]
+    schedule = ms.lpt_schedule(tasks, 2).schedule
+    broken = stand_in(schedule, rows=((0, 0), (1,)))
+    with pytest.raises(ms.InvariantViolationError, match="task 0 appears twice in row 0"):
+        check_schedule(broken, tasks, 2)
+
+
 def test_validator_rejects_desynced_parallel_start():
     tasks = [ms.TaskSpec(0, 8, 2), ms.TaskSpec(1, 3, 1)]
     schedule = ms.lpt_schedule(tasks, 3).schedule

@@ -77,6 +77,10 @@ class TestInterposer:
         assert interposer.iterations == 76
         assert interposer.machine.grid == (400, 400, 8)
 
+    def test_total_is_exact(self, interposer):
+        # the first rounding of the scaled roots lands on the published total
+        assert interposer.total_edges() == 449_610
+
     def test_deterministic(self):
         a = ms.gen_interposer()
         b = ms.gen_interposer()

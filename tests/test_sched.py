@@ -2,7 +2,7 @@ import heapq
 import random
 import weakref
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +17,26 @@ from conftest import groups_of
 
 def make_tasks(durations):
     return [ms.TaskSpec(i, w) for i, w in enumerate(durations)]
+
+
+def reference_next_approx_square_increment(p):
+    """The distance to the next approximate square, by testing four candidates."""
+    q = isqrt(p)
+    for member in (q * q, q * (q + 1), (q + 1) * (q + 1), (q + 1) * (q + 2)):
+        if member > p:
+            return member - p
+    raise AssertionError("no candidate exceeds p")
+
+
+def reference_nearest_approx_square(p):
+    """The nearest approximate square (ties: smaller), by a downward scan."""
+    if ms.is_approx_square(p):
+        return p
+    above = p + reference_next_approx_square_increment(p)
+    below = p
+    while below > 1 and not ms.is_approx_square(below):
+        below -= 1
+    return below if p - below <= above - p else above
 
 
 class TestBounds:
@@ -61,6 +81,14 @@ class TestApproxSquares:
         assert ms.nearest_approx_square(22) == 20
         assert ms.nearest_approx_square(23) == 25
         assert ms.nearest_approx_square(33) == 30  # tie between 30 and 36
+
+    def test_increment_matches_reference(self):
+        for p in range(1, 20_001):
+            assert ms.next_approx_square_increment(p) == reference_next_approx_square_increment(p), p
+
+    def test_nearest_matches_reference(self):
+        for p in range(1, 20_001):
+            assert ms.nearest_approx_square(p) == reference_nearest_approx_square(p), p
 
 
 class TestLpt:
@@ -179,6 +207,12 @@ class TestPartSchedule:
     def test_empty_tasks_rejected(self):
         with pytest.raises(ms.InvalidTaskError):
             ms.part_schedule([], 2, 20)
+
+    def test_invalid_tasks_rejected(self):
+        with pytest.raises(ms.InvalidTaskError, match="procs must be >= 1"):
+            ms.part_schedule([ms.TaskSpec(0, 5, 0)], 2)
+        with pytest.raises(ms.InvalidTaskError, match="workload must be >= 0"):
+            ms.part_schedule([ms.TaskSpec(0, 5), ms.TaskSpec(1, -1)], 2)
 
     def test_deterministic(self):
         tasks = make_tasks([7, 7, 5, 3, 3, 1])
