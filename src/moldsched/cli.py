@@ -212,7 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sched.add_argument("--strategy", choices=["proposed", "any-pi"], default="proposed")
     sched.add_argument("--cutoff", type=str, default=None,
                        help="approximate-square cutoff or 'unlimited' "
-                            "(default: the scenario file's cutoff)")
+                            "(default: the scenario file's cutoff; any-pi takes "
+                            "only 'unlimited')")
     sched.add_argument("--csv", type=str, default=None,
                        help="also write per-task rows to this CSV file")
 
@@ -264,12 +265,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_schedule(args) -> int:
     cutoff = None if args.cutoff is None else _parse_cutoff(args.cutoff)
+    if cutoff is not None and args.strategy == "any-pi":
+        raise InvalidTaskError(f"--strategy any-pi is always unlimited; got --cutoff {cutoff}")
     scenario = load_scenario(args.scenario)
     tasks = scenario.tasks()
-    if args.cutoff is None:
+    if args.cutoff is None and args.strategy != "any-pi":
         cutoff = scenario.cutoff
-    if args.strategy == "any-pi":
-        cutoff = None
     result = part_schedule(tasks, args.procs, cutoff)
     ideal = ideal_length(tasks, args.procs)
 

@@ -15,9 +15,9 @@ task blocks, and the order in which one process's tasks start, are the
 same for both, so ``run_strategy`` reads them from the pieces once per
 cell, into an ``_OwnerPlan``, and each pass replays it with its own
 durations.  The split objects join the processes they touch into
-independent groups that never delay one another, so a pass replays each
-group on its own, with the same result as one schedule over all
-processes.
+independent groups, the connected components a disjoint-set forest
+finds, that never delay one another, so a pass replays each group on
+its own, with the same result as one schedule over all processes.
 """
 
 from __future__ import annotations
@@ -154,7 +154,8 @@ class _OwnerPlan:
     durations, added in that order.
 
     The split objects join the processes they touch into independent
-    groups (connected components), which the walk labels as it goes.  No
+    groups (connected components): the walk links each split object's
+    processes in a disjoint-set forest, and a group is one tree.  No
     task spans two groups, so none delays another, and each group is
     replayed on a heap of its own.  ``heaps`` holds each group's initial
     heap: its split tasks and the first task of each of its queues.
@@ -170,11 +171,16 @@ class _OwnerPlan:
         self.procs = procs = partition.n_procs
         self.workloads = workloads = orders.workloads
         own: List[List[int]] = [[] for _ in range(procs)]
-        # the group of each process some split object touches, else -1, and
-        # each group's heap keys, None once merged into another.  Heap keys
-        # (ready, -W, position) are distinct, so no group is ever compared.
-        label = [-1] * procs
-        keys: List[Optional[list]] = []
+        # a disjoint-set forest over the processes: up[p] is p's parent, p
+        # itself at a root, -1 where no split object touches p; root halves
+        # the path it walks
+        up = [-1] * procs
+
+        def root(p):
+            while up[p] != p:
+                up[p] = p = up[up[p]]
+            return p
+
         self.split = split = []
         for i in orders.by_workload:
             owners = pieces[live_ids[i]]
@@ -183,41 +189,29 @@ class _OwnerPlan:
                 continue
             g = [p for p, _ in owners]
             split.append((i, g))
-            key = (0, -workloads[i], i, g)
-            found = set(map(label.__getitem__, g))
-            found.discard(-1)
-            if found:
-                # the groups it touches merge, each time the one with fewer
-                # tasks into the other; a group's processes are those of its
-                # split tasks, so these are relabelled
-                c = found.pop()
-                for x in found:
-                    if len(keys[x]) > len(keys[c]):
-                        c, x = x, c
-                    for _, _, _, h in keys[x]:
-                        for p in h:
-                            label[p] = c
-                    keys[c] += keys[x]
-                    keys[x] = None
-                keys[c].append(key)
-            else:
-                c = len(keys)
-                keys.append([key])
+            # link its processes' trees under one root, an untouched process
+            # directly
+            r = g[0] if up[g[0]] < 0 else root(g[0])
             for p in g:
-                label[p] = c
+                up[p if up[p] < 0 else root(p)] = r
+        # each group's heap keys (ready, -W, position, processes), under its
+        # root and in the order of its first split task.  Heap keys are
+        # distinct, so no group is ever compared.
+        groups = {}
+        for i, g in split:
+            groups.setdefault(root(g[0]), []).append((0, -workloads[i], i, g))
         self.queues = queues = {}
         self.unshared = unshared = []
         for p, q in enumerate(own):
             if not q:
                 continue
-            c = label[p]
-            if c < 0:
+            if up[p] < 0:
                 unshared.append((p, q))
             else:
                 queues[p] = q
-                keys[c].append((0, -workloads[q[0]], q[0], p))
+                groups[root(p)].append((0, -workloads[q[0]], q[0], p))
         self.lone, self.heaps = [], []
-        for group in filter(None, keys):
+        for group in groups.values():
             if len(group) == 1:
                 self.lone.append(group[0][2:])
             else:

@@ -225,3 +225,25 @@ def test_criterion_9_command_determinism(tmp_path, capsys):
         report(9, "command determinism", ok)
     assert first == second
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_thousands_of_cores_ratio_line(srr, interposer, capsys):
+    # open acceptance line, printed and not gated: proposed's t_matvec_avg
+    # over no-redist's past P = 1000, and each P where proposed loses
+    t0 = time.perf_counter()
+    ratios, losses = {}, []
+    for name, scenario, sweep in (("SRR", srr, (1000, 2000, 3000, 4000)),
+                                  ("interposer", interposer, (1280, 1920, 2560))):
+        for procs in sweep:
+            nored = run_strategy(scenario, StrategyKind.NO_REDISTRIBUTION, procs)
+            prop = run_strategy(scenario, StrategyKind.PROPOSED, procs, nored.partition)
+            ratios[name, procs] = prop.report.t_matvec_avg / nored.report.t_matvec_avg
+        lost = [str(procs) for procs in sweep if ratios[name, procs] > 1]
+        if lost:
+            losses.append(f"{name} P {', '.join(lost)}")
+    worst = max(ratios, key=ratios.get)
+    elapsed = time.perf_counter() - t0
+    with capsys.disabled():
+        print(f"ACCEPTANCE open: thousands of cores, worst proposed/no-redist t_matvec_avg "
+              f"{ratios[worst]:.3f} at {worst[0]} P={worst[1]}; proposed loses at "
+              f"{'; '.join(losses) or 'no P'} ({elapsed:.2f}s)")

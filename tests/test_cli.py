@@ -333,6 +333,17 @@ class TestSchedule:
         assert code == 0
         assert "cutoff unlimited\n" in out
 
+    def test_any_pi_takes_only_an_unlimited_cutoff(self, bus5, capsys):
+        # an integer cutoff would be dropped, so it is refused before the
+        # file is read: a missing file still exits 1, not 2
+        for path in (bus5, "nope.json"):
+            code, out, err = run_cli(capsys, "schedule", str(path), "--procs", "20",
+                                     "--strategy", "any-pi", "--cutoff", "5")
+            assert (code, out) == (1, "") and "any-pi" in err
+        code, out, _ = run_cli(capsys, "schedule", str(bus5), "--procs", "20",
+                               "--strategy", "any-pi", "--cutoff", "unlimited")
+        assert code == 0 and "cutoff unlimited\n" in out
+
     @pytest.mark.parametrize("cutoff", ["0", "x"])
     def test_bad_cutoff_usage_error(self, cutoff, bus5, capsys):
         code, out, _ = run_cli(capsys, "schedule", str(bus5), "--procs", "20",

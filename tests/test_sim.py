@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import moldsched as ms
@@ -535,6 +535,15 @@ def has_owner_schedule_kind(plan, kind):
 
 @settings(max_examples=300, deadline=None)
 @given(case=owner_schedules())
+# the last split object in the walk, [2, 5], joins {0, 1, 2} and {3, 4, 5}
+# through processes that are not their groups' first: each group holds two
+# split tasks and queued ones
+@example(case=("chained", [[0, 1], [1, 2], [3, 4], [4, 5], [0], [5], [2], [2, 5], [4]],
+               [10, 9, 8, 7, 6, 5, 4, 1, 2], [3, 5, 1, 2, 4, 1, 6, 2, 3], 6))
+# [1, 2] finds 1 and 2 already in one group through [0, 1] and [0, 2], so
+# its union links nothing; process 3 is unshared
+@example(case=("chained", [[0, 1], [0, 2], [1, 2], [1], [2], [3]],
+               [5, 4, 3, 2, 2, 7], [2, 3, 1, 4, 0, 5], 4))
 def test_property_simultaneity_schedule_matches_reference(case):
     kind, groups, edges, durations, procs = case
     assert has_owner_schedule_kind(plan_of_groups(groups, edges, procs), kind)
