@@ -307,32 +307,44 @@ def check_schedule(
 
     Checks, for the given task set:
       - every task appears in at least one row, at most once per row, and
-        no row holds an unknown task; the rows holding a task are its
-        group, and a slot of it lasts W_i / |group|;
+        no row holds an unknown task, or one the schedule's own tasks
+        lack; the rows holding a task are its group, and a slot of it
+        lasts W_i / |group|;
       - all processors of a parallel task record the same start time;
       - each row starts at time 0, and F_p is the sum of that row's slot
         durations, with slots packed back to back (no gaps);
       - the parallel-task budget sum(P_i > 1) <= procs holds.
 
-    Raises InvariantViolationError on the first failure found.
+    Raises InvariantViolationError on the first failure found.  The rows
+    are checked before any time is read, because a ``Schedule`` makes its
+    times from its own tasks' workloads.
     """
     by_id = {t.object_id: t for t in tasks}
     if len(by_id) != len(tasks):
         raise InvalidTaskError("task ids are not unique")
-    if len(schedule.rows) != procs or len(schedule.finish_times) != procs:
+    if len(schedule.rows) != procs:
         raise InvariantViolationError(
             f"schedule has {len(schedule.rows)} rows for {procs} processors"
         )
 
     # each task's group: the rows that hold it
+    own = {t.object_id for t in schedule.tasks}
     seen = {tid: set() for tid in by_id}
     for p, row in enumerate(schedule.rows):
         for tid in row:
             if tid not in by_id:
                 raise InvariantViolationError(f"row {p} contains unknown task {tid}")
+            if tid not in own:
+                raise InvariantViolationError(
+                    f"row {p} holds task {tid}, which the schedule has no workload for"
+                )
             if p in seen[tid]:
                 raise InvariantViolationError(f"task {tid} appears twice in row {p}")
             seen[tid].add(p)
+    if len(schedule.finish_times) != procs:
+        raise InvariantViolationError(
+            f"schedule has {len(schedule.finish_times)} finish times for {procs} processors"
+        )
 
     budget = 0
     for tid, group in seen.items():

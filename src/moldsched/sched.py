@@ -24,14 +24,19 @@ with every step, so when P >= n the walk skips those steps with one
 bisect.  Graham's bound peaks at the last task of each run of equal
 sequential workloads, so it is kept per run, built in O(runs) at a
 call's first test of it from a fact of the task tuple
-(``TaskOrders.last_ahead``).  Otherwise it computes the makespan from
-buckets of equal finish times: it keeps the parallel tasks as a
-multiset of (W_i, P_i) classes, one bucket per class, brought up to the
-current step only when a rebuild needs it, so a rebuild costs
-O(classes + runs of equal sequential workloads), not O(tasks).
-That walk stops, too, at the first run from which the bound covers the
-rest, when no finish placed so far exceeds the longest task's duration.
-``ScheduleResult.routes`` counts the makespans each way settled.
+(``TaskOrders.last_ahead``).  Two bisects find run g, the first from
+which the bound caps every finish at the longest task's duration, and
+run h, the first the idle processors do not hold whole.  No finish
+before run h exceeds that duration, since each is one task's own, so
+g <= h settles the makespan with no walk.  Otherwise it computes the
+makespan from buckets of equal finish times: it keeps the parallel
+tasks as a multiset of (W_i, P_i) classes, one bucket per class,
+brought up to the current step only when a rebuild needs it, so a
+rebuild costs O(classes + runs of equal sequential workloads), not
+O(tasks).  That walk starts at run h and tests the bound once more, at
+run g: it stops there when no finish placed so far exceeds the longest
+task's duration.  ``ScheduleResult.routes`` counts the makespans each
+way settled.
 
 It places the tasks once, for the best processor counts found, in the
 LPT placement pass that ``lpt_schedule`` also runs: one pass builds the
@@ -48,7 +53,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate
 from math import isqrt, lcm
 from operator import neg
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -89,7 +94,8 @@ class ScheduleResult:
     ``routes`` counts how ``part_schedule`` found each makespan it
     needed, one before its loop and one per rebuild, in this order: by
     the idle-processor cut, by Graham's bound at the first sequential
-    task, by Graham's bound mid-walk, and by a walk to the end.
+    task, by Graham's bound at a later run (inside the idle processors
+    or mid-walk), and by a walk to the end.
     ``lpt_schedule`` needs none.
     """
 
@@ -214,68 +220,58 @@ def _lpt_place(
 def _lpt_makespan(
     classes: Mapping[Tuple[int, int], int],
     runs: Sequence[Tuple[int, int]],
+    ends: Sequence[int],
+    k: int,
+    edge: int,
     r: int,
-    first: int,
-    procs: int,
-    reach: Sequence[int],
+    h: int,
+    g: int,
     longest: Tuple[int, int],
 ) -> Tuple[int, int, bool]:
     """Makespan of an LPT pass, without the placements, as (top, denom, cut).
 
     ``classes`` counts the parallel tasks per (W_i, P_i) class.  The
-    sequential tasks, in LPT order, are ``first`` tasks of ``runs[r]``
-    and then ``runs[r + 1:]``; a run (W, m) is m tasks of equal workload
-    W.  Processors with equal finish times are interchangeable, so the
-    heap holds (F, count) buckets of them: one per class, (W * denom / P,
-    count * P).  The idle processors finish at 0, no later than any class
-    bucket, so the runs that fit in them take one bucket each with no
-    heap step, and a run that straddles their count is cut there.  After
-    that, a run takes the least-F bucket whole, or splits it, exactly
-    where m single placements would put its tasks, in one heap step per
-    bucket.  A call costs O(classes + runs), however many tasks the
-    classes hold.  The makespan is top / denom, with denom the lcm of the
-    distinct P_i.
+    sequential tasks are the positions k.. of an LPT order cut into
+    ``runs``: a run (W, m) is m tasks of equal workload W, and runs[q]
+    ends at position ends[q].  Position k is in runs[r].  The idle
+    processors run positions k..edge - 1 alone from time 0, and runs[h]
+    is the first run they do not hold whole, so h < len(runs).
+    Processors with equal finish times are interchangeable, so the heap
+    holds (F, count) buckets of them: one per class, (W * denom / P,
+    count * P), and one per run, or head of run h, that the idle
+    processors hold.  From the rest of run h on, a run takes the least-F
+    bucket whole, or splits it, exactly where m single placements would
+    put its tasks, in one heap step per bucket.  A call costs O(classes +
+    runs), however many tasks the classes hold.  The makespan is top /
+    denom, with denom the lcm of the distinct P_i.
 
-    The walk stops early at Graham's bound.  ``longest`` is (W_j, P_j) of
-    a task of the longest duration, so the makespan is at least W_j/P_j,
-    and ``reach[q]`` is P times the latest finish Graham's bound allows
-    the tasks of ``runs[q:]`` (see ``part_schedule``).  ``reach`` does not
-    grow with q and finish times never fall, so only the first run q > r
-    with reach[q] * P_j <= P * W_j is tested: if no finish so far
-    exceeds W_j/P_j, no task will, and the call returns (W_j, P_j,
-    True).  A walk to the end returns cut False.
+    Each finish before run h is one task's own duration, so none exceeds
+    W_j/P_j, with ``longest`` (W_j, P_j) a task of the longest duration:
+    the caller settles Graham's bound itself when its run g, the first
+    from which the bound caps every finish at W_j/P_j, is at most h (see
+    ``part_schedule``).  So g > h here, and the walk tests the bound at
+    run g once: if no finish so far exceeds W_j/P_j, no task will, and
+    the call returns (W_j, P_j, True).  A walk to the end returns cut
+    False.
     """
     w_j, p_j = longest
-    denom = lcm(*(k for _, k in classes))
-    buckets = [(w * (denom // k), c * k) for (w, k), c in classes.items()]
-    idle = procs - sum(c for _, c in buckets)
-    top = max(buckets)[0] if buckets else 0
-    # the first q > r with reach[q] <= P * W_j / P_j (reach is an int)
-    g = bisect_left(reach, -(procs * w_j // p_j), r + 1, key=neg)
-    walk = chain(((runs[r][0], first),), islice(runs, r + 1, None))
-    # the runs that fit in the idle processors; top is the largest finish so far
-    for q, (w, m) in enumerate(walk, r):
-        if q == g and top * p_j <= w_j * denom:
-            return w_j, p_j, True
-        if m > idle:
-            break
-        if m:
-            s = w * denom
-            buckets.append((s, m))
-            top = max(top, s)
-            idle -= m
-    else:
-        return top, denom, False
-    # the run that straddles the idle count fills them, and the rest of it
-    # goes through the heap (testing it again is harmless: its finish
-    # times only grew since it failed)
-    if idle:
-        buckets.append((w * denom, idle))
-        m -= idle
+    denom = lcm(*(p for _, p in classes))
+    buckets = [(w * (denom // p), c * p) for (w, p), c in classes.items()]
+    # the idle processors hold runs r..h - 1 whole, the first from position k on
+    start = k
+    if h > r:
+        buckets.append((runs[r][0] * denom, ends[r] - k))
+        buckets += [(w * denom, m) for w, m in runs[r + 1:h]]
+        start = ends[h - 1]
+    if edge > start:
+        buckets.append((runs[h][0] * denom, edge - start))
     heapq.heapify(buckets)
-    for q, (w, m) in enumerate(chain(((w, m),), walk), q):
+    for q in range(h, len(runs)):
         if q == g and max(buckets)[0] * p_j <= w_j * denom:
             return w_j, p_j, True
+        w, m = runs[q]
+        if q == h:
+            m = ends[h] - edge
         s = w * denom
         while m:
             f, c = buckets[0]
@@ -363,34 +359,21 @@ class _StepLog:
     ``order[:k]`` of the sequential LPT order, k the heap's size, and the
     longest sequential task is ``order[k]``, at P_i = 1.
 
-    ``settled`` serves a P >= n from three lists with one entry per step
-    s logged, which it extends up to the last logged step: the sum of all
-    P_i after s steps (``sums``), the parallel task count (``ks``), and
-    the first step after which the longest duration was what it is after
-    s steps (``best``).
+    A P >= n starts from three lists with one entry per logged step s,
+    appended as the step is logged: the sum of all P_i after s steps
+    (``sums``), the parallel task count (``ks``), and the first step
+    after which the longest duration was what it is after s steps
+    (``best``).
     """
 
-    __slots__ = ("workloads", "steps", "first_wide", "parallel", "sums", "ks", "best")
+    __slots__ = ("steps", "first_wide", "parallel", "sums", "ks", "best")
 
     def __init__(self, orders: TaskOrders):
-        n = len(orders.order)
-        self.workloads = orders.workloads
         # P_i = 1 is below any cutoff, or 1 -> 2 is the step to the next approximate square
         self.steps = [(orders.order[0], 1, 1)]
         self.first_wide: Optional[int] = None
         self.parallel: List[_Longer] = []
-        self.sums, self.ks, self.best = [n], [0], [0]
-
-    def settled(self, procs: int) -> int:
-        """The last logged s after which all P_i sum to at most procs (procs >= n)."""
-        steps, sums, ks, best, workloads = self.steps, self.sums, self.ks, self.best, self.workloads
-        for s in range(len(sums), len(steps)):
-            (i, p, d), (j, q, _) = steps[s - 1], steps[s]
-            sums.append(sums[-1] + d)
-            ks.append(ks[-1] + (p == 1))
-            # the longest duration never grows: it ties step s - 1's or falls below it
-            best.append(best[-1] if workloads[j] * p == workloads[i] * q else s)
-        return bisect_right(sums, procs) - 1
+        self.sums, self.ks, self.best = [len(orders.order)], [0], [0]
 
 
 def part_schedule(
@@ -425,6 +408,17 @@ def part_schedule(
     longest-first prefix of the sequential LPT order, and the rebuild's
     makespan reads them as a multiset of (W_i, P_i) classes, brought up
     to the current step only when a makespan needs it.
+
+    Each rebuild tests each shortcut once.  The idle-processor cut holds
+    when the idle processors are at least as many as the sequential
+    tasks.  If not, with j the longest task, g is the first run q of
+    sequential workloads at or after order[k]'s run r from which Graham's
+    bound caps every finish at W_j/P_j, and h the first the idle
+    processors do not hold whole.  Each finish before run h is one task's
+    own duration, no longer than W_j/P_j, so g == r (the bound at
+    order[k]) and r < g <= h (the bound inside the idle processors) both
+    give W_j/P_j.  Only when g > h are the classes brought up to date and
+    ``_lpt_makespan`` walked, from run h; it tests the bound at run g.
 
     When P >= n, the walk skips the logged steps that the idle-processor
     cut settles.  After s steps the budget is P less the parallel P_i,
@@ -468,7 +462,7 @@ def part_schedule(
     reach: Optional[List[int]] = None
 
     # makespans found by the idle-processor cut, Graham's bound at order[k],
-    # Graham's bound mid-walk, and a walk to the end
+    # Graham's bound at a later run, and a walk to the end
     routes = [0, 0, 0, 0]
     # the parallel tasks as a multiset, (W_i, P_i) -> count, after ``taken`` steps
     classes: Dict[Tuple[int, int], int] = {}
@@ -478,8 +472,8 @@ def part_schedule(
     # is P less the parallel P_i.  Makespans are (numerator, denominator)
     # pairs, compared cross-multiplied.
     if n <= procs:
-        # the cut settles the makespans after 0..s steps
-        s = log.settled(procs)
+        # the cut settles the makespans after 0..s steps: all P_i sum to at most P
+        s = bisect_right(log.sums, procs) - 1
         k = log.ks[s]
         budget = procs - (log.sums[s] - (n - k))
         routes[0] = s
@@ -512,8 +506,13 @@ def part_schedule(
                 # never grows with r.
                 reach = [ahead + procs * v for ahead, (v, _) in zip(orders.last_ahead, runs)]
                 reach = list(accumulate(reversed(reach), max))[::-1]
-            if reach[r] * p <= procs * w:
-                routes[1] += 1
+            # g: the first run from which Graham's bound caps every finish at
+            # W_j/P_j (reach is an int); h: the first run the idle processors do
+            # not hold whole (see the docstring for why g <= h settles it)
+            g = bisect_left(reach, -(procs * w // p), r, key=neg)
+            h = bisect_right(ends, k + budget, r)
+            if g <= h:
+                routes[1 if g == r else 2] += 1
                 top, den = w, p
             else:
                 for i, q, e in steps[taken:s]:
@@ -525,7 +524,7 @@ def part_schedule(
                             classes[v, q] -= 1
                     classes[v, q + e] = classes.get((v, q + e), 0) + 1
                 taken = s
-                top, den, cut = _lpt_makespan(classes, runs, r, ends[r] - k, procs, reach, (w, p))
+                top, den, cut = _lpt_makespan(classes, runs, ends, k, k + budget, r, h, g, (w, p))
                 routes[2 if cut else 3] += 1
         if top * cur_den > cur_top * den:
             stop_reason = "worse"
@@ -575,9 +574,13 @@ def part_schedule(
             if e > 1 and log.first_wide is None:
                 log.first_wide = s
             steps.append((i, q, e))
+            log.sums.append(log.sums[-1] + d)
+            log.ks.append(k)
+            # the longest duration never grows: it ties step s - 1's or falls below it
+            log.best.append(log.best[-1] if workloads[i] * p == w * q else s)
 
     pi = [1] * n
-    for i, p, d in islice(steps, best_steps):
+    for i, p, d in steps[:best_steps]:
         pi[i] = p + d
     # the placement's makespan is best_top / best_den: the same LPT pass.  The
     # grown tasks are the parallel ones, the prefix order[:best_k], and its

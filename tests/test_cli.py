@@ -625,6 +625,22 @@ def test_golden_random_no_redist_sweep_digest(tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_RANDOM_NO_REDIST_SWEEP
 
 
+# sha256 of the same random file's sweep with all strategies, as the no-numpy
+# CI job sweeps it.  It has no runs of equal sizes, so most of its rebuilds
+# stop at Graham's bound mid-walk, inside the heap phase of the LPT walk.
+# Recorded before Part_Schedule tested each makespan shortcut once per rebuild.
+GOLDEN_RANDOM_1500_SWEEP = "37a9d15c13c78af12fec1f727dc8b1643b1c0ccedcd844c0fdfee779097f4c47"
+
+
+def test_golden_random_1500_sweep_digest(tmp_path, capsys):
+    path = tmp_path / "random.json"
+    gen_args = ("--objects", "1500", "--edges", "50:1500", "--seed", "0")
+    assert run_cli(capsys, "gen", "random", *gen_args, "-o", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, "sweep", str(path), "--procs", "40:1000:40")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_RANDOM_1500_SWEEP
+
+
 # sha256 of the 1:61:3 sweep CSV of gen_random(90, (0, 2), 0) with its objects
 # shuffled: many equal edge counts, zero-edge objects, and split objects of
 # equal size whose owner groups overlap.  The no-redist owner groups start in

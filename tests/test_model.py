@@ -111,13 +111,13 @@ def test_schedule_keeps_the_workloads_it_was_built_with():
 
 
 def stand_in(schedule, **changes):
-    """The three attributes check_schedule reads, with some of them changed.
+    """The four attributes check_schedule reads, with some of them changed.
 
     A Schedule makes its own times from its rows, so a broken one is
     built as this stand-in.
     """
     attrs = {name: getattr(schedule, name)
-             for name in ("rows", "start_times", "finish_times")}
+             for name in ("rows", "tasks", "start_times", "finish_times")}
     return SimpleNamespace(**{**attrs, **changes})
 
 
@@ -147,6 +147,22 @@ def test_validator_rejects_unknown_task_in_row():
         check_schedule(broken, tasks, 2)
 
 
+# A real Schedule makes its times from its own tasks, so the row checks must
+# come before any time is read: these rows name a task whose workload it lacks.
+def test_validator_rejects_unknown_task_in_a_real_schedule():
+    tasks = [ms.TaskSpec(i, w) for i, w in enumerate([5, 4])]
+    schedule = ms.Schedule(((0, 7), (1,)), tasks)
+    with pytest.raises(ms.InvariantViolationError, match="row 0 contains unknown task 7"):
+        check_schedule(schedule, tasks, 2)
+
+
+def test_validator_rejects_a_task_the_schedule_has_no_workload_for():
+    tasks = [ms.TaskSpec(i, w) for i, w in enumerate([5, 4])]
+    schedule = ms.Schedule(((0,), (1,)), tasks[:1])
+    with pytest.raises(ms.InvariantViolationError, match="row 1 holds task 1, which the schedule"):
+        check_schedule(schedule, tasks, 2)
+
+
 def test_validator_rejects_task_twice_in_one_row():
     tasks = [ms.TaskSpec(i, w) for i, w in enumerate([5, 4])]
     schedule = ms.lpt_schedule(tasks, 2).schedule
@@ -173,6 +189,7 @@ def test_validator_rejects_late_first_slot():
     tasks = [ms.TaskSpec(0, 8, 2), ms.TaskSpec(1, 3, 1)]
     schedule = SimpleNamespace(
         rows=((0,), (0,), (1,)),
+        tasks=tuple(tasks),
         start_times=((Fraction(1),), (Fraction(1),), (Fraction(1),)),
         finish_times=(Fraction(5), Fraction(5), Fraction(4)),
     )
@@ -194,6 +211,7 @@ def test_validator_rejects_overbooked_parallel_budget():
     tasks = [ms.TaskSpec(0, 8, 2), ms.TaskSpec(1, 6, 2)]
     schedule = SimpleNamespace(
         rows=((0,), (0, 1), (1,)),
+        tasks=tuple(tasks),
         start_times=(
             (Fraction(0),),
             (Fraction(0), Fraction(4)),

@@ -2,6 +2,7 @@ import heapq
 import random
 import weakref
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt, lcm
 from types import SimpleNamespace
 
@@ -433,16 +434,46 @@ class TestStopReason:
 class TestMakespanRoutes:
     def test_each_route_once(self):
         # all P_i 1: four tasks on four processors, the idle-processor cut.
-        # Task 0 on 2: Graham's bound at the 1 gives 4/2.  On 3: the 1 is
-        # placed, then the bound covers the 0s and gives 4/3, mid-walk.  On
-        # 4: the walk ends at 2 > 4/3, and the loop stops, worse.
+        # Task 0 on 2: Graham's bound at the 1 gives 4/2.  On 3: the 1 runs
+        # on the idle processor, and the bound caps the 0s at 4/3, with no
+        # walk.  On 4: the walk ends at 2 > 4/3, and the loop stops, worse.
         result = ms.part_schedule(make_tasks([4, 0, 0, 1]), 4, None)
         assert result.routes == (1, 1, 1, 1)
         assert (result.procs_per_task, result.stop_reason) == ((3, 1, 1, 1), "worse")
 
-    def test_mid_walk_exit_on_srr(self, srr):
+    # Four processors.  All P_i 1: Graham's bound at the 12 gives 12.  Task 0
+    # on 2: two idle processors, and the outcome ties to runs g and h.
+    #  - 12, 5, 1, 0, 0: the idle processors run the 5 and the 1 alone, and
+    #    from the 1 on (g < h) the bound caps every finish at 12/2, with no
+    #    walk.  Task 0 on 3: the walk puts the 1 on a 4, and at the 0s the
+    #    bound caps every finish at 5.  Growing the 5 would overdraw.
+    #  - 12, 5, 1, 1, 1: the idle processors run the 5 and a 1, and from the
+    #    1s on (g == h) the bound gives 12/2, with no walk.  Task 0 on 3: the
+    #    bound at the 5 fails, and the walk ends at 5.
+    #  - 12, 5, 5, 0, 0: the 5s end exactly at the idle count, so the idle
+    #    processors hold them whole, and from the 0s on (g == h) the bound
+    #    gives 12/2.  Task 0 on 3: the second 5 lands on a 4, 9 > 6 is worse.
+    @pytest.mark.parametrize("workloads, routes, outcome", [
+        ([12, 5, 1, 0, 0], (0, 1, 2, 0), ((3, 1, 1, 1, 1), 5, "overdraw")),
+        ([12, 5, 1, 1, 1], (0, 1, 1, 1), ((3, 1, 1, 1, 1), 5, "overdraw")),
+        ([12, 5, 5, 0, 0], (0, 1, 1, 1), ((2, 1, 1, 1, 1), 6, "worse")),
+    ])
+    def test_graham_exit_inside_the_idle_processors(self, workloads, routes, outcome, monkeypatch):
+        walks = []
+        walk = ms.sched._lpt_makespan
+        monkeypatch.setattr(ms.sched, "_lpt_makespan", lambda *a: walks.append(a) or walk(*a))
+        result = ms.part_schedule(make_tasks(workloads), 4, None)
+        assert result.routes == routes and len(walks) == 1
+        assert (result.procs_per_task, result.c_max, result.stop_reason) == outcome
+
+    def test_mid_walk_exit_on_srr(self, srr, monkeypatch):
+        # some of route 2's exits come from inside the heap walk
+        cuts = []
+        walk = ms.sched._lpt_makespan
+        monkeypatch.setattr(ms.sched, "_lpt_makespan", lambda *a: cuts.append(walk(*a)) or cuts[-1])
         result = ms.part_schedule(srr.tasks(), 1000, 20)
-        assert result.routes[2] > 0
+        mid_walk = sum(cut for _, _, cut in cuts)
+        assert 0 < mid_walk < result.routes[2]
 
     def test_lpt_finds_no_makespan_by_route(self):
         assert ms.lpt_schedule(make_tasks([5, 5]), 1).routes == (0, 0, 0, 0)
@@ -502,6 +533,28 @@ def makespan_cases(draw):
     return classes, runs, r, first, procs
 
 
+def walk_args(classes, runs, r, first, procs):
+    """What ``part_schedule`` hands ``_lpt_makespan``, found by linear scans.
+
+    Runs r.. of ``runs`` are the sequential tasks, at positions k = ends[r]
+    - first on, so r moves to r + 1 when ``first`` is 0.  The idle
+    processors run positions k..edge - 1; h is the first run they do not
+    hold whole and g the first run q >= r with reach[q] * P_j <= P * W_j,
+    each len(runs) if there is none.  Returns (ends, k, edge, r, h, g,
+    longest).
+    """
+    reach, longest = graham_reach(classes, runs, r, first, procs)
+    w, p = longest
+    ends = list(accumulate(m for _, m in runs))
+    k = ends[r] - first
+    if not first:
+        r += 1
+    edge = k + procs - sum(c * k_i for (_, k_i), c in classes.items())
+    h = next((q for q in range(r, len(runs)) if ends[q] > edge), len(runs))
+    g = next((q for q in range(r, len(runs)) if reach[q] * p <= procs * w), len(runs))
+    return ends, k, edge, r, h, g, longest
+
+
 def graham_reach(classes, runs, r, first, procs):
     """reach and a longest (W, P), as ``part_schedule`` hands them to ``_lpt_makespan``.
 
@@ -531,16 +584,27 @@ def graham_reach(classes, runs, r, first, procs):
 @example(case=({(0, 3): 2, (12, 4): 1}, [(5, 2), (3, 9)], 0, 1, 12))
 # no idle processors, and no sequential task at all
 @example(case=({(30, 2): 2, (35, 5): 1}, [(7, 3)], 0, 0, 9))
-# the bound passes mid-walk: the 20s end at 20 <= 30, and the 1s fit under 30
+# the bound passes at the 1s, the first run the idle processors hold none of:
+# the 20s end at 20 <= 30, and the 1s fit under 30, with no walk
 @example(case=({(60, 2): 2}, [(20, 2), (1, 3)], 0, 2, 6))
 # the bound would pass before the 0, but a placed finish, 20 + 20 = 40, exceeds 30 first
 @example(case=({(60, 2): 1}, [(20, 3), (0, 1)], 0, 3, 4))
-# the run of 20s straddles the exit: two are parallel, three split the idle
-# bucket, and the bound passes before the 1s, which would fill two buckets
+# the run of 20s straddles the parallel prefix: two are parallel and three
+# fill idle processors; the bound passes at the 1s, which straddle the idle
+# count, so there is no walk
 @example(case=({(60, 2): 2, (20, 2): 2}, [(20, 5), (1, 4)], 0, 3, 13))
-# no task left in the first run: it adds no bucket
+# g is the run that straddles the idle count: the 29 and seven 1s fill the
+# eight idle processors, and the bound caps the 1s at 30 = 60 / 2
+@example(case=({(60, 2): 1}, [(29, 1), (1, 20)], 0, 1, 10))
+# no task left in the first run, and the bound holds from run r + 1, where
+# the sequential tasks start
+@example(case=({(60, 2): 1}, [(29, 1), (5, 1), (1, 20)], 0, 0, 10))
+# every run fits beside a class: the idle-processor cut, whose makespan is
+# the longest task's duration, 30 / 2
+@example(case=({(30, 2): 1}, [(9, 2), (8, 1)], 0, 2, 6))
+# no task left in the first run, and no run after it
 @example(case=({}, [(1, 1)], 0, 0, 1))
-# two runs fill three of the five idle processors, and the walk ends there
+# two runs fill three of the five idle processors: the idle-processor cut
 @example(case=({}, [(9, 2), (8, 1)], 0, 2, 5))
 # the run of 8s straddles the idle count: one fills the last idle processor,
 # the other two go through the heap, to 8 + 8 and 9 + 8 = 17 = 34 / 2
@@ -549,10 +613,14 @@ def test_property_class_makespan_matches_reference(case):
     classes, runs, r, first, procs = case
     parallel = [wk for wk, count in classes.items() for _ in range(count)]
     expected = reference_lpt_makespan(parallel, [(runs[r][0], first)] + runs[r + 1:], procs)
-    reach, longest = graham_reach(classes, runs, r, first, procs)
-    top, den, cut = ms.sched._lpt_makespan(classes, runs, r, first, procs, reach, longest)
-    w, p = longest
-    if any(reach[q] * p <= procs * w for q in range(r + 1, len(runs))):
+    ends, k, edge, r, h, g, longest = walk_args(classes, runs, r, first, procs)
+    if g <= h:
+        # part_schedule takes the longest task's duration and walks nothing:
+        # no finish before run h exceeds it, and the bound caps the rest
+        assert Fraction(*expected) == Fraction(*longest)
+        return
+    top, den, cut = ms.sched._lpt_makespan(classes, runs, ends, k, edge, r, h, g, longest)
+    if g < len(runs):
         # the exit may fire, and returns the longest (W_j, P_j): equal in value
         assert Fraction(top, den) == Fraction(*expected)
         assert not cut or (top, den) == longest
@@ -562,12 +630,15 @@ def test_property_class_makespan_matches_reference(case):
 
 def test_graham_exit_at_a_run_inside_the_idle_processors():
     # ten processors, two hold the 60/2: the 29 and the 5 fit in the idle
-    # ones, and at the 5 the bound caps every finish at 30, so the walk
-    # stops before the twenty 1s, which would straddle the idle count
+    # ones, and at the 5 the bound caps every finish at 30, so the makespan
+    # is 60/2 before the twenty 1s, which straddle the idle count, are walked
     classes, runs = {(60, 2): 1}, [(29, 1), (5, 1), (1, 20)]
     reach, longest = graham_reach(classes, runs, 0, 1, 10)
     assert longest == (60, 2) and reach[0] * 2 > 10 * 60 >= reach[1] * 2
-    assert ms.sched._lpt_makespan(classes, runs, 0, 1, 10, reach, longest) == (60, 2, True)
+    ends, k, edge, r, h, g, _ = walk_args(classes, runs, 0, 1, 10)
+    assert (r, g, h) == (0, 1, 2)
+    # the walk to the end, with no run to exit at, gives the same makespan
+    assert ms.sched._lpt_makespan(classes, runs, ends, k, edge, r, h, len(runs), longest) == (60, 2, False)
     assert reference_lpt_makespan([(60, 2)], runs, 10) == (60, 2)
 
 
