@@ -17,6 +17,7 @@ from .model import (
     UndefinedBoundError,
     check_schedule,
     estimate_workload,
+    grid_factors,
     task_duration,
     tasks_from_objects,
 )
@@ -45,7 +46,6 @@ from .sim import (
     StrategyRun,
     dense_task_time,
     external_phase_time,
-    grid_factors,
     run_strategy,
     simulate,
 )

@@ -7,6 +7,7 @@ keys are rejected.  All output is deterministic: running a command twice
 on the same inputs produces byte-identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 invariant violation.
+A processor count above ``MAX_PROCS`` (2**20) is a usage error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import (
     MACHINE_COEFFICIENTS,
+    MAX_PROCS,
     InvalidScenarioError,
     InvalidTaskError,
     MachineModel,
@@ -135,7 +137,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _parse_range(text: str) -> List[int]:
-    """Parse 'start:stop:step' (stop inclusive) or a single integer, all >= 1."""
+    """Parse 'start:stop:step' (stop inclusive) or a single integer, all in 1..MAX_PROCS."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
@@ -144,24 +146,27 @@ def _parse_range(text: str) -> List[int]:
             start, stop, step = (int(x) for x in parts)
         else:
             raise ValueError
-        if step < 1 or start < 1 or stop < start:
+        if step < 1 or start < 1 or stop < start or stop > MAX_PROCS:
             raise ValueError
         return list(range(start, stop + 1, step))
     except ValueError:
         pass
     raise InvalidTaskError(
-        f"bad processor range {text!r}, expected START:STOP:STEP or one integer >= 1"
+        f"bad processor range {text!r}, expected START:STOP:STEP or one integer "
+        f"in 1..MAX_PROCS ({MAX_PROCS})"
     )
 
 
 def _procs_arg(text: str) -> int:
-    """argparse type for the --procs of schedule and simulate: an integer >= 1."""
+    """argparse type for the --procs of schedule and simulate: an integer in 1..MAX_PROCS."""
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    if not 1 <= value <= MAX_PROCS:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in 1..MAX_PROCS ({MAX_PROCS}), got {text!r}"
+        )
     return value
 
 
@@ -351,12 +356,13 @@ def _sweep_cells(
 
 
 def _cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
+    # the arguments are usage errors (exit 1) before the file is read
     procs = _parse_range(args.procs)
     keys = [k.strip() for k in args.strategies.split(",") if k.strip()]
     if not keys:
         raise InvalidTaskError("at least one strategy is required")
     strategies = [StrategyKind.from_key(k) for k in keys]
+    scenario = load_scenario(args.scenario)
 
     cells: Dict[Tuple[int, str], Tuple[SimReport, float]] = {}
     for p in procs:

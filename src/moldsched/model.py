@@ -469,6 +469,29 @@ class MachineModel:
         """Total auxiliary grid size Nx*Ny*Nz."""
         return math.prod(self.grid)
 
+    def task_seconds(self, workload: int, procs: int) -> float:
+        """Seconds to run a dense internal task of this workload on procs >= 1 processes.
+
+        t_work * W/P_i plus, for parallel tasks, a distributed-dense
+        communication term gamma_grid * sqrt(W) * (r + c) with (r, c) the
+        process grid of P_i.
+        """
+        seconds = self.t_work * workload / procs
+        if procs > 1:
+            r, c = grid_factors(procs)
+            seconds += self.gamma_grid * math.sqrt(workload) * (r + c)
+        return seconds
+
+
+def grid_factors(p: int) -> Tuple[int, int]:
+    """Factor p = r*c with r <= c minimizing r + c (the process-grid shape)."""
+    if p < 1:
+        raise InvalidTaskError(f"p must be >= 1, got {p}")
+    r = math.isqrt(p)
+    while p % r:
+        r -= 1
+    return r, p // r
+
 
 def _fits_float(value) -> bool:
     """Whether ``value`` is a finite float, or converts to one."""
@@ -480,6 +503,10 @@ def _fits_float(value) -> bool:
 
 # the approximate-square cutoff of a scenario, and of ``sched.part_schedule``
 DEFAULT_CUTOFF = 20
+
+# the largest P any entry point or command takes: each cell holds lists of
+# P entries, and Part_Schedule may take about one step per processor
+MAX_PROCS = 2**20
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .model import (
+    MAX_PROCS,
     InvalidScenarioError,
     MachineModel,
     Object,
@@ -73,8 +74,8 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     ``ObjectOrders``, computed once per objects tuple, so a sweep sorts
     its objects once.  A list of objects is checked and sorted per call.
     """
-    if procs < 1:
-        raise InvalidScenarioError(f"procs must be >= 1, got {procs}")
+    if not 1 <= procs <= MAX_PROCS:
+        raise InvalidScenarioError(f"procs must be in 1..MAX_PROCS ({MAX_PROCS}), got {procs}")
     orders = ObjectOrders.of(objects)
     total = orders.total
     by_size = orders.by_size

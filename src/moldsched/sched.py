@@ -50,6 +50,7 @@ then are they made exact ``Fraction``s (see ``Schedule``).
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .model import (
     DEFAULT_CUTOFF,
+    MAX_PROCS,
     InfeasibleParallelSetError,
     InstanceTooLargeError,
     InvalidTaskError,
@@ -288,8 +290,8 @@ def _lpt_makespan(
 
 def _check_inputs(tasks: Sequence[TaskSpec], procs: int) -> TaskOrders:
     """The tasks' ``TaskOrders``, once P and the tasks are checked (per task tuple)."""
-    if procs < 1:
-        raise InvalidTaskError(f"procs must be >= 1, got {procs}")
+    if not 1 <= procs <= MAX_PROCS:
+        raise InvalidTaskError(f"procs must be in 1..MAX_PROCS ({MAX_PROCS}), got {procs}")
     orders = TaskOrders.of(tasks)
     if orders.problem is not None:
         raise InvalidTaskError(orders.problem)
@@ -359,11 +361,12 @@ class _StepLog:
     ``order[:k]`` of the sequential LPT order, k the heap's size, and the
     longest sequential task is ``order[k]``, at P_i = 1.
 
-    A P >= n starts from three lists with one entry per logged step s,
-    appended as the step is logged: the sum of all P_i after s steps
-    (``sums``), the parallel task count (``ks``), and the first step
-    after which the longest duration was what it is after s steps
-    (``best``).
+    A P >= n starts from three arrays of 64-bit integers with one entry
+    per logged step s, appended as the step is logged: the sum of all
+    P_i after s steps (``sums``), the parallel task count (``ks``), and
+    the first step after which the longest duration was what it is after
+    s steps (``best``).  Each fits: a sum is at most P + n, and P is at
+    most ``MAX_PROCS``.
     """
 
     __slots__ = ("steps", "first_wide", "parallel", "sums", "ks", "best")
@@ -373,7 +376,8 @@ class _StepLog:
         self.steps = [(orders.order[0], 1, 1)]
         self.first_wide: Optional[int] = None
         self.parallel: List[_Longer] = []
-        self.sums, self.ks, self.best = [len(orders.order)], [0], [0]
+        self.sums = array("q", [len(orders.order)])
+        self.ks, self.best = array("q", [0]), array("q", [0])
 
 
 def part_schedule(

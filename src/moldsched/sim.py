@@ -2,10 +2,10 @@
 
 One solver iteration is modeled as: external-problem matvec (near-region
 work plus a shared FFT term), a data redistribution stage, and the
-internal-problem phase.  Internal tasks are priced in seconds with a
-2-D process-grid communication penalty, so elongated processor counts
-(primes especially) are expensive, which is exactly what the scheduler's
-approximate-square restriction avoids.
+internal-problem phase.  Internal tasks are priced in seconds by
+``MachineModel.task_seconds``, with a 2-D process-grid communication
+penalty, so elongated processor counts (primes especially) are expensive,
+which is exactly what the scheduler's approximate-square restriction avoids.
 
 The no-redist baseline runs each object's task on the processes that
 own its pieces (owner-computes), all of them starting together.  Its
@@ -39,6 +39,7 @@ from .model import (
     Scenario,
     ShapeError,
     TaskSpec,
+    grid_factors,  # a public name of this module too
     plain_sum,
 )
 from .partition import assign_task_lists, partition_external, redistribution_cost
@@ -92,35 +93,11 @@ class StrategyRun:
     partition: PartitionMap
 
 
-def grid_factors(p: int) -> Tuple[int, int]:
-    """Factor p = r*c with r <= c minimizing r + c (the process-grid shape)."""
-    if p < 1:
-        raise InvalidTaskError(f"p must be >= 1, got {p}")
-    r = math.isqrt(p)
-    while p % r:
-        r -= 1
-    return r, p // r
-
-
 def dense_task_time(task: TaskSpec, machine: MachineModel) -> float:
-    """Seconds to run one dense internal task on its P_i processes.
-
-    t_work * W/P_i plus, for parallel tasks, a distributed-dense
-    communication term gamma_grid * sqrt(W) * (r + c) with (r, c) the
-    process grid of P_i.
-    """
+    """Seconds of one dense internal task on its P_i: ``MachineModel.task_seconds``."""
     if task.procs < 1:
         raise InvalidTaskError(f"task {task.object_id}: procs must be >= 1")
-    return _dense_seconds(task.workload, task.procs, machine)
-
-
-def _dense_seconds(workload: int, procs: int, machine: MachineModel) -> float:
-    """``dense_task_time`` of a workload on procs >= 1 processes."""
-    seconds = machine.t_work * workload / procs
-    if procs > 1:
-        r, c = grid_factors(procs)
-        seconds += machine.gamma_grid * math.sqrt(workload) * (r + c)
-    return seconds
+    return machine.task_seconds(task.workload, task.procs)
 
 
 def external_phase_time(partition: PartitionMap, machine: MachineModel) -> float:
@@ -287,13 +264,13 @@ def internal_makespan_no_redist(plan: _OwnerPlan, machine: MachineModel) -> Tupl
     external-problem partitions, all starting simultaneously, so tasks
     sharing a process block each other.  Zero-edge objects carry no work
     and are skipped.  A whole object's task takes t_work * W seconds, the
-    float ``_dense_seconds(W, 1, machine)`` gives.  The cell's owner plan
+    float ``machine.task_seconds(W, 1)`` gives.  The cell's owner plan
     is replayed with these durations.
     """
-    t_work = machine.t_work
+    t_work, price = machine.t_work, machine.task_seconds
     durations = [t_work * w for w in plan.workloads]
     for i, g in plan.split:
-        durations[i] = _dense_seconds(plan.workloads[i], len(g), machine)
+        durations[i] = price(plan.workloads[i], len(g))
     makespan, busy = plan.replay(durations)
     return float(makespan), _idle_fraction(float(makespan), busy, plan.procs)
 
@@ -319,11 +296,9 @@ def _no_redist_work_units(plan: _OwnerPlan) -> Fraction:
 def _schedule_seconds(
     result: ScheduleResult, tasks: Sequence[TaskSpec], machine: MachineModel
 ) -> Tuple[float, float]:
-    """Makespan/idle of a built schedule with slots priced by dense_task_time."""
-    seconds_of = {
-        t.object_id: _dense_seconds(t.workload, k, machine)
-        for t, k in zip(tasks, result.procs_per_task)
-    }
+    """Makespan/idle of a built schedule with slots priced by ``MachineModel.task_seconds``."""
+    price = machine.task_seconds
+    seconds_of = {t.object_id: price(t.workload, k) for t, k in zip(tasks, result.procs_per_task)}
     # each row summed left to right from the integer 0, as plain_sum adds
     busy = []
     for row in result.schedule.rows:

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moldsched as ms
-from moldsched.cli import SWEEP_COLUMNS, main, scenario_from_json, scenario_to_json
+from moldsched.cli import (
+    SWEEP_COLUMNS,
+    _parse_range,
+    _procs_arg,
+    main,
+    scenario_from_json,
+    scenario_to_json,
+)
+from moldsched.model import MAX_PROCS
 from moldsched.sim import StrategyKind, run_strategy
 
 
@@ -262,6 +270,28 @@ def test_bad_procs_is_usage_error(command, procs, tmp_path, capsys):
     assert err.startswith("usage:") and "--procs" in err
 
 
+@pytest.mark.parametrize("command, procs", [
+    ("schedule", str(MAX_PROCS + 1)),
+    ("simulate", str(MAX_PROCS + 1)),
+    ("sweep", str(MAX_PROCS + 1)),
+    ("sweep", f"{MAX_PROCS}:{MAX_PROCS + 1}:1"),
+    ("sweep", f"1:{10**10}:1"),
+])
+def test_more_than_max_procs_is_usage_error(command, procs, tmp_path, capsys):
+    path = tmp_path / "bus.json"
+    run_cli(capsys, "gen", "bus", "--pairs", "1", "-o", str(path))
+    code, out, err = run_cli(capsys, command, str(path), "--procs", procs)
+    assert (code, out) == (1, "")
+    assert "MAX_PROCS" in err
+
+
+def test_max_procs_itself_parses():
+    # parsed only: no cell runs at the limit
+    assert _procs_arg(str(MAX_PROCS)) == MAX_PROCS
+    assert _parse_range(str(MAX_PROCS)) == [MAX_PROCS]
+    assert _parse_range(f"1:{MAX_PROCS}:{MAX_PROCS - 1}") == [1, MAX_PROCS]
+
+
 class TestSchedule:
     @pytest.fixture()
     def bus5(self, tmp_path, capsys):
@@ -428,6 +458,16 @@ class TestSweep:
         path = tmp_path / "bus.json"
         run_cli(capsys, "gen", "bus", "--pairs", "2", "-o", str(path))
         code, out, _ = run_cli(capsys, "sweep", str(path), *args)
+        assert (code, out) == (1, "")
+
+    @pytest.mark.parametrize("args", [("--procs", "0"),
+                                      ("--procs", "1:2"),
+                                      ("--procs", "2", "--strategies", ","),
+                                      ("--procs", "2", "--strategies", "bogus")],
+                             ids=["procs 0", "two-part range", "no strategy", "unknown strategy"])
+    def test_bad_arguments_before_the_file(self, args, tmp_path, capsys):
+        # a usage error (exit 1) before the missing file is read (exit 2)
+        code, out, _ = run_cli(capsys, "sweep", str(tmp_path / "missing.json"), *args)
         assert (code, out) == (1, "")
 
     @pytest.mark.parametrize("procs", ["0", "-3"])

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import moldsched as ms
+import moldsched.model
+import moldsched.sim
 from moldsched.cli import main
-from moldsched.model import ObjectOrders
+from moldsched.model import MAX_PROCS, ObjectOrders
 from moldsched.sim import (
     StrategyKind,
     _idle_fraction,
@@ -87,7 +89,23 @@ def reference_no_redist_work_units(objects, partition):
     return max(free, default=Fraction(0))
 
 
+def reference_dense_seconds(workload, procs, machine):
+    """Seconds of a workload on procs >= 1 processes, as the simulator priced it.
+
+    Kept as the reference for ``MachineModel.task_seconds``: the same float
+    operations in the same order.
+    """
+    seconds = machine.t_work * workload / procs
+    if procs > 1:
+        r, c = ms.grid_factors(procs)
+        seconds += machine.gamma_grid * math.sqrt(workload) * (r + c)
+    return seconds
+
+
 class TestGridFactors:
+    def test_one_home(self):
+        assert ms.grid_factors is moldsched.sim.grid_factors is moldsched.model.grid_factors
+
     def test_examples(self):
         assert ms.grid_factors(12) == (3, 4)
         assert ms.grid_factors(7) == (1, 7)
@@ -124,6 +142,41 @@ class TestDenseTaskTime:
         prime = ms.dense_task_time(ms.TaskSpec(0, w, 127), machine)
         square = ms.dense_task_time(ms.TaskSpec(0, w, 121), machine)
         assert prime > square
+
+    def test_no_processes_rejected(self):
+        with pytest.raises(ms.InvalidTaskError):
+            ms.dense_task_time(ms.TaskSpec(0, 100, 0), ms.MachineModel())
+
+
+coefficients = st.one_of(st.sampled_from([0.0, 1e-9, 1.0, 1e300, 1.7e308]),
+                         st.floats(0, 1.7e308, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(workload=st.integers(0, 10**12), procs=st.integers(1, MAX_PROCS),
+       t_work=coefficients, gamma_grid=coefficients)
+@example(workload=10**12, procs=MAX_PROCS, t_work=1.7e308, gamma_grid=1.7e308)
+@example(workload=10**12, procs=MAX_PROCS - 1, t_work=0.0, gamma_grid=1e-9)
+@example(workload=0, procs=7, t_work=0.0, gamma_grid=0.0)
+def test_property_task_seconds_is_the_reference_price(workload, procs, t_work, gamma_grid):
+    machine = ms.MachineModel(t_work=t_work, gamma_grid=gamma_grid)
+    assert machine.task_seconds(workload, procs) == reference_dense_seconds(workload, procs, machine)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: ms.part_schedule([ms.TaskSpec(0, 4)], p),
+    lambda p: ms.part_schedule([ms.TaskSpec(0, 4)], p, None),
+    lambda p: ms.lpt_schedule([ms.TaskSpec(0, 4)], p),
+    lambda p: ms.oracle_optimal([ms.TaskSpec(0, 4)], p),
+    lambda p: ms.partition_external([ms.Object(0, 4)], p),
+    lambda p: run_strategy(ms.gen_bus(1), StrategyKind.NO_REDISTRIBUTION, p),
+    lambda p: run_strategy(ms.gen_bus(1), StrategyKind.PROPOSED, p),
+], ids=["part_schedule", "part_schedule unlimited", "lpt_schedule", "oracle_optimal",
+        "partition_external", "run_strategy no-redist", "run_strategy proposed"])
+def test_more_than_max_procs_refused(call):
+    # each entry point refuses P before it builds anything of P entries
+    with pytest.raises((ms.InvalidTaskError, ms.InvalidScenarioError), match="MAX_PROCS"):
+        call(MAX_PROCS + 1)
 
 
 class TestExternalPhase:
