@@ -8,6 +8,7 @@ on the same inputs produces byte-identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 invariant violation.
 A processor count above ``MAX_PROCS`` (2**20) is a usage error.
+So is a ``gen`` of more than ``MAX_OBJECTS`` (2**20) objects.
 """
 
 from __future__ import annotations

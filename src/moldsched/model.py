@@ -508,6 +508,10 @@ DEFAULT_CUTOFF = 20
 # P entries, and Part_Schedule may take about one step per processor
 MAX_PROCS = 2**20
 
+# the most objects a generator builds, one ``Object`` each; a scenario file's
+# object count is bounded by its size instead
+MAX_OBJECTS = 2**20
+
 
 @dataclass(frozen=True)
 class Scenario:

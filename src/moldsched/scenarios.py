@@ -14,7 +14,7 @@ import math
 import random
 from typing import Optional, Sequence, Tuple
 
-from .model import InvalidScenarioError, MachineModel, Object, Scenario, plain_sum
+from .model import MAX_OBJECTS, InvalidScenarioError, MachineModel, Object, Scenario, plain_sum
 
 BUS_EDGES_PER_CONDUCTOR = 7026
 BUS_ITERATIONS = {5: 66, 10: 74, 20: 85, 40: 96, 80: 109, 160: 124, 250: 135}
@@ -37,8 +37,10 @@ def gen_bus(pairs: int) -> Scenario:
     each).  Iteration counts come from the published table; off-table
     pair counts reuse the nearest row.
     """
-    if pairs < 1:
-        raise InvalidScenarioError(f"pairs must be >= 1, got {pairs}")
+    if not 1 <= pairs <= MAX_OBJECTS // 2:
+        raise InvalidScenarioError(
+            f"pairs must be in 1..MAX_OBJECTS/2 ({MAX_OBJECTS // 2}), got {pairs}"
+        )
     n = 2 * pairs
     objects = tuple(Object(i, BUS_EDGES_PER_CONDUCTOR) for i in range(n))
     nearest = min(BUS_ITERATIONS, key=lambda k: (abs(k - pairs), k))
@@ -114,8 +116,10 @@ def gen_interposer() -> Scenario:
 
 def gen_random(n_objects: int, edge_range: Tuple[int, int], seed: int) -> Scenario:
     """Seeded random scenario for property tests; same seed, same scenario."""
-    if n_objects < 1:
-        raise InvalidScenarioError(f"n_objects must be >= 1, got {n_objects}")
+    if not 1 <= n_objects <= MAX_OBJECTS:
+        raise InvalidScenarioError(
+            f"n_objects must be in 1..MAX_OBJECTS ({MAX_OBJECTS}), got {n_objects}"
+        )
     lo, hi = edge_range
     if lo < 0 or hi < lo:
         raise InvalidScenarioError(f"edge_range must satisfy 0 <= lo <= hi, got {edge_range}")

@@ -1,6 +1,5 @@
 import time
 
-import numpy as np
 import pytest
 
 import moldsched as ms
@@ -10,7 +9,13 @@ BUS_FAMILY = (5, 10, 20, 40)
 
 
 def dense_partition(owned):
-    """The partition of a dense (process, object) matrix of owned edges."""
+    """The partition of a dense (process, object) matrix of owned edges.
+
+    numpy is imported here, not at module level, so the modules that never
+    call this run on an install without numpy.
+    """
+    import numpy as np
+
     owned = np.asarray(owned)
     pieces = tuple(
         tuple((p, e) for p, e in enumerate(column) if e) for column in owned.T.tolist()

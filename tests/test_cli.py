@@ -18,7 +18,7 @@ from moldsched.cli import (
     scenario_from_json,
     scenario_to_json,
 )
-from moldsched.model import MAX_PROCS
+from moldsched.model import MAX_OBJECTS, MAX_PROCS
 from moldsched.sim import StrategyKind, run_strategy
 
 
@@ -26,6 +26,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def sweep_row_of(report):
+    """The sweep CSV row, less its t_ref, of a `simulate` report."""
+    values = dict(line.split(" ", 1) for line in report.splitlines())
+    return ",".join([values["procs"], values["strategy"]]
+                    + [values[k] for k in SWEEP_COLUMNS[2:-1]])
+
+
+def sweep_rows(csv):
+    """The rows of a sweep CSV, each less its t_ref."""
+    return [line.rsplit(",", 1)[0] for line in csv.splitlines()[1:]]
 
 
 class TestGen:
@@ -49,6 +61,16 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen", "bus", "--pairs", "0")
         assert code == 1
         assert "pairs" in err
+
+    @pytest.mark.parametrize("args", [
+        ("bus", "--pairs", str(MAX_OBJECTS // 2 + 1)),
+        ("random", "--objects", str(MAX_OBJECTS + 1), "--edges", "1:2"),
+    ], ids=["bus", "random"])
+    def test_more_than_max_objects_is_usage_error(self, args, capsys):
+        # refused before any object is built
+        code, out, err = run_cli(capsys, "gen", *args)
+        assert (code, out) == (1, "")
+        assert "MAX_OBJECTS" in err
 
     def test_srr_class_counts(self, tmp_path, capsys):
         out = tmp_path / "srr.json"
@@ -87,7 +109,7 @@ class TestScenarioRoundTrip:
         text = scenario_to_json(scenario)
         assert scenario_to_json(scenario_from_json(text)) == text
 
-    def test_omitted_keys_take_the_defaults(self):
+    def test_omitted_keys_take_the_defaults(self, tmp_path, capsys):
         objects = (ms.Object(0, 7), ms.Object(1, 3))
         parsed = scenario_from_json(
             '{"name": "x", "objects": [{"id": 0, "edges": 7}, {"id": 1, "edges": 3}]}'
@@ -95,6 +117,17 @@ class TestScenarioRoundTrip:
         assert parsed == ms.Scenario("x", objects)
         doc = json.loads(scenario_to_json(parsed))
         assert (doc["cutoff"], doc["iterations"], doc["grid"]) == (20, 1, [0, 0, 0])
+        # written back in full, a short file simulates to the same bytes; at
+        # P = 64 the default cutoff binds
+        short, full = tmp_path / "short.json", tmp_path / "full.json"
+        short.write_text('{"name": "x", "objects": [{"id": 0, "edges": 5000}, '
+                         '{"id": 1, "edges": 300}]}\n')
+        scenario = scenario_from_json(short.read_text())
+        full.write_text(scenario_to_json(scenario))
+        assert ms.part_schedule(scenario.tasks(), 64, scenario.cutoff).restricted
+        code, out, _ = run_cli(capsys, "simulate", str(short), "--procs", "64")
+        assert code == 0 and out
+        assert run_cli(capsys, "simulate", str(full), "--procs", "64") == (code, out, "")
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ms.InvalidScenarioError):
@@ -339,10 +372,11 @@ class TestSchedule:
     def test_deterministic_output(self, tmp_path, capsys):
         path = tmp_path / "ip.json"
         run_cli(capsys, "gen", "interposer", "-o", str(path))
-        args = ("schedule", str(path), "--procs", "160", "--strategy", "any-pi")
-        _, out1, _ = run_cli(capsys, *args)
-        _, out2, _ = run_cli(capsys, *args)
-        assert out1 == out2
+        for strategy in ((), ("--strategy", "any-pi")):
+            args = ("schedule", str(path), "--procs", "160", *strategy)
+            code, out1, _ = run_cli(capsys, *args)
+            _, out2, _ = run_cli(capsys, *args)
+            assert code == 0 and out1 == out2
 
     def test_cutoff_defaults_to_the_scenario_file(self, tmp_path, capsys):
         path = tmp_path / "cutoff2.json"
@@ -401,6 +435,10 @@ class TestSimulate:
         assert code == 0
         assert "comm_edges 0" in out
         assert "t_matvec_avg" in out
+        # the same figures as the sweep's row for that cell
+        code, csv, _ = run_cli(capsys, "sweep", str(path), "--procs", "10:40:10")
+        assert code == 0 and len(sweep_rows(csv)) == 4 * 3
+        assert sweep_row_of(out) in sweep_rows(csv)
 
 
 class TestSweep:
@@ -575,12 +613,12 @@ class TestSharedSweep:
 GOLDEN_SWEEPS = {
     ("srr", "20:1000:980"): "b9b6c7c66cf7efe31e18648d614c41bf5e2750858bf6e05b56dc2cd32d87ec81",
     ("interposer", "40:640:120"): "c90403310196956e16162c3b5356ed5d1181ec4ebb0505a1139e98142fbea467",
-    # the cells of the interposer-strong benchmark, as the no-numpy CI job sweeps them
+    # the cells of the interposer-strong benchmark
     ("interposer", "40:640:40"): "7c7e57cd0ac0ddc8badf2ffead165b571c18f5b7330168ee8d4f68863569151e",
     ("bus", "20:1000:60"): "d8467c12102470577c19231677027429c318768c71a49abe00f8af02f9218f22",
     # unequal sizes: every (W, P) class holds one task
     ("random", "40:1000:120"): "6a5d08b124855d8f676cda36e7bcef76d9a0df0691db4c06e0560a9675cec49e",
-    # past P = 1000, as the no-numpy CI job sweeps them; every object of the
+    # past P = 1000, the abstract's thousands of cores; every object of the
     # random file is split at these P.  Recorded before the no-redist owner
     # plan was built in run_strategy.
     ("srr", "1000:4000:1000"): "9ee4390a95f0b7ff27e3844e538004c58d17f6a9faf2b0a9fa5bc20b2c2fdcfa",
@@ -663,12 +701,17 @@ def test_golden_random_no_redist_sweep_digest(tmp_path, capsys):
                            "--strategies", "no-redist")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_RANDOM_NO_REDIST_SWEEP
+    # `simulate` at the last P prints the figures of the sweep's last row
+    code, report, _ = run_cli(capsys, "simulate", str(path), "--procs", "1000",
+                              "--strategy", "no-redist")
+    assert code == 0
+    assert sweep_row_of(report) == sweep_rows(out)[-1]
 
 
-# sha256 of the same random file's sweep with all strategies, as the no-numpy
-# CI job sweeps it.  It has no runs of equal sizes, so most of its rebuilds
-# stop at Graham's bound mid-walk, inside the heap phase of the LPT walk.
-# Recorded before Part_Schedule tested each makespan shortcut once per rebuild.
+# sha256 of the same random file's sweep with all strategies.  It has no runs
+# of equal sizes, so most of its rebuilds stop at Graham's bound mid-walk,
+# inside the heap phase of the LPT walk.  Recorded before Part_Schedule tested
+# each makespan shortcut once per rebuild.
 GOLDEN_RANDOM_1500_SWEEP = "37a9d15c13c78af12fec1f727dc8b1643b1c0ccedcd844c0fdfee779097f4c47"
 
 

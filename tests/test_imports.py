@@ -3,7 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # every run-path command on the interposer; numpy must stay unimported
 RUN_PATH = """
@@ -32,3 +33,27 @@ def test_run_path_does_not_import_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# the bare-install CI job runs the modules that never call dense_partition with
+# numpy absent; so the conftest they load must import without it
+CONFTEST = """
+import conftest
+try:
+    import numpy
+except ImportError as exc:
+    print(exc)
+"""
+
+
+def test_conftest_imports_without_numpy(tmp_path):
+    (tmp_path / "numpy.py").write_text('raise ImportError("numpy blocked")\n')
+    proc = subprocess.run(
+        [sys.executable, "-c", CONFTEST],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (tmp_path, TESTS, SRC)))},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["numpy blocked"]

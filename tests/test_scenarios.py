@@ -1,6 +1,7 @@
 import pytest
 
 import moldsched as ms
+from moldsched.model import MAX_OBJECTS
 
 BUS_TABLE = {
     5: (20, 70_260, 66),
@@ -31,6 +32,11 @@ class TestBus:
     def test_rejects_zero_pairs(self):
         with pytest.raises(ms.InvalidScenarioError):
             ms.gen_bus(0)
+
+    def test_rejects_more_than_max_objects(self):
+        # 2 * pairs objects: refused before any is built
+        with pytest.raises(ms.InvalidScenarioError, match="MAX_OBJECTS"):
+            ms.gen_bus(MAX_OBJECTS // 2 + 1)
 
 
 class TestSrr:
@@ -105,6 +111,10 @@ class TestRandom:
     def test_zero_objects_rejected(self):
         with pytest.raises(ms.InvalidScenarioError):
             ms.gen_random(0, (1, 10), seed=1)
+
+    def test_more_than_max_objects_rejected(self):
+        with pytest.raises(ms.InvalidScenarioError, match="MAX_OBJECTS"):
+            ms.gen_random(MAX_OBJECTS + 1, (1, 2), seed=1)
 
     def test_bad_range_rejected(self):
         with pytest.raises(ms.InvalidScenarioError):
