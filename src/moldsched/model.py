@@ -259,6 +259,11 @@ class Schedule:
         return Counter(chain.from_iterable(self.rows))
 
     @cached_property
+    def row_classes(self) -> "RowClasses":
+        """The rows grouped by their slots: one walk, shared by every reader."""
+        return RowClasses(self)
+
+    @cached_property
     def start_times(self) -> Tuple[Tuple[Fraction, ...], ...]:
         return self._pack()[0]
 
@@ -296,6 +301,60 @@ class Schedule:
 
     def makespan(self) -> Fraction:
         return max(self.finish_times, default=Fraction(0))
+
+
+class RowClasses:
+    """A schedule's rows grouped by their slots, independent of any partition.
+
+    - ``by_tuple``: each distinct row tuple -> its rows, ascending.
+    - ``classes``: (parallel tuple, its rows ascending) per class, in the
+      order of the class's first row.  A row's parallel tuple is its
+      tasks on more than one row, in slot order; rows holding no such
+      task are in no class.
+    - ``sequential``: each row holding a task on that row alone -> (the
+      row's index in ``classes``, or -1; those tasks in slot order).
+      Such a row's tuple is on no other row.
+
+    A repeated tuple holds parallel tasks only, so only the tuples on
+    one row are split.  The task-list matching and the redistribution
+    pricing read ``classes`` and ``sequential``; the slot pricing reads
+    ``by_tuple``.
+    """
+
+    __slots__ = ("by_tuple", "classes", "sequential")
+
+    def __init__(self, schedule: Schedule):
+        self.by_tuple = by_tuple = {}
+        for r, row in enumerate(schedule.rows):
+            rows = by_tuple.get(row)
+            if rows is None:
+                by_tuple[row] = [r]
+            else:
+                rows.append(r)
+        size = schedule.group_sizes
+        number: Dict[Tuple[int, ...], int] = {}  # parallel tuple -> its index in classes
+        self.classes = classes = []
+        self.sequential = sequential = {}
+        for row, rows in by_tuple.items():
+            seq = ()
+            if len(rows) > 1:
+                par = row
+            else:
+                par, seq = [], []
+                for tid in row:
+                    (par if size[tid] > 1 else seq).append(tid)
+                par = tuple(par)
+            k = -1
+            if par:
+                k = number.get(par, -1)
+                if k < 0:
+                    k = number[par] = len(classes)
+                    classes.append((par, []))
+                classes[k][1].extend(rows)
+            if seq:
+                sequential[rows[0]] = (k, tuple(seq))
+        for _, rows in classes:
+            rows.sort()
 
 
 def check_schedule(

@@ -9,11 +9,17 @@ processes hold even shares of its object, and each object's shortfalls
 are filled from its surpluses, both read from one merge of the group
 with the object's pieces.
 
-Both the matching and the pricing walk the schedule's rows, and read a
-row's tasks from the row itself; ``Schedule.group_sizes`` only tells a
-parallel task (on more than one row) from a sequential one.  Object ids
-double as 0-based indices of the partition's per-object pieces, so
-schedule task ids address an object's pieces directly.
+Neither the matching nor the pricing walks the schedule's rows.  Both
+read ``Schedule.row_classes``, built once per schedule with one walk and
+shared with the simulator's slot pricing: the rows of each parallel
+tuple (a class), and each row's sequential tasks.  The matching adds
+each class's pieces and each sequential task's pieces once; the pricing
+builds each parallel group from its classes' rows through the inverse
+of ``process_to_row``.  What the two share depends on the schedule
+alone, so a hand-built ``TaskListAssignment`` is priced as one from the
+matching is.  Object ids double as 0-based indices of the partition's
+per-object pieces, so schedule task ids address an object's pieces
+directly.
 """
 
 from __future__ import annotations
@@ -131,21 +137,22 @@ def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAs
     row when it overlaps none.  The result is a bijection; the greedy
     order is deterministic but not globally optimal.
 
-    One pass over the rows in ascending index adds each sequential
-    slot's pieces to ``single[p][r]``, and keys each row by its parallel
-    tasks, a tuple c in slot order.  Rows with the same key form a class:
-    every row of a class overlaps p by the same edges of those tasks, so
-    the class's pieces are added to ``shared[p][c]`` once, at its first
-    row, and ``class_rows[c]`` lists its rows in ascending order.  (The
-    classes of an LPT schedule are its disjoint parallel groups.  Rows
-    holding the same parallel tasks in another slot order form another
-    class, with the same edges, which leaves the pick below as it is.)
-    Process p compares the free rows holding its sequential tasks,
-    counted with their class, and the lowest free row of each class it
-    overlaps, counted with the class alone.  Any other row of that class
-    overlaps p no more, at a higher index; and if p's sequential tasks
-    add to the lowest row, that row is already among the first
-    candidates, with more edges.
+    The rows come from ``schedule.row_classes``, so this walks no row.
+    Rows with the same parallel tuple form a class, numbered c in
+    ``row_classes.classes``: every row of a class overlaps p by the same
+    edges of those tasks, so each class's pieces are added once, to
+    ``shared[p][c]``, and ``class_rows[c]`` lists its rows in ascending
+    order.  (The classes of an LPT schedule are its disjoint parallel
+    groups.  Rows holding the same parallel tasks in another slot order
+    form another class, with the same edges, which leaves the pick below
+    as it is.)  Each sequential task's pieces are added once, to
+    ``single[p][r]`` at its row r; when no row holds one, every process
+    reads one empty dict.  Process p compares the free rows holding its
+    sequential tasks, counted with their class, and the lowest free row
+    of each class it overlaps, counted with the class alone.  Any other
+    row of that class overlaps p no more, at a higher index; and if p's
+    sequential tasks add to the lowest row, that row is already among
+    the first candidates, with more edges.
     """
     procs = partition.n_procs
     if schedule.n_procs != procs:
@@ -153,46 +160,44 @@ def assign_task_lists(schedule: Schedule, partition: PartitionMap) -> TaskListAs
             f"schedule has {schedule.n_procs} rows, partition has {procs} processes"
         )
 
-    # per process: row -> edges of its sequential tasks, class -> edges of its parallel tasks
-    single: List[Dict[int, int]] = [{} for _ in range(procs)]
-    shared: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(procs)]
-    class_rows: Dict[Tuple[int, ...], List[int]] = {}
-    row_class: List[Tuple[int, ...]] = []
-    size = schedule.group_sizes
-    for r, row in enumerate(schedule.rows):
-        tids = []
-        for tid in row:
-            if size[tid] > 1:
-                tids.append(tid)
-                continue
-            for p, edges in partition.pieces[tid]:
+    view = schedule.row_classes
+    pieces = partition.pieces
+    # per process: class -> edges of its parallel tasks, row -> edges of its sequential tasks
+    shared: List[Dict[int, int]] = [{} for _ in range(procs)]
+    class_rows = []
+    for c, (tids, rows) in enumerate(view.classes):
+        class_rows.append(rows)
+        if len(tids) == 1:  # no process holds two pieces of one object
+            for p, edges in pieces[tids[0]]:
+                shared[p][c] = edges
+            continue
+        for tid in tids:
+            for p, edges in pieces[tid]:
+                par = shared[p]
+                par[c] = par.get(c, 0) + edges
+    sequential = view.sequential
+    # with no sequential task, every process reads the same empty dict
+    single: List[Dict[int, int]] = [{} for _ in range(procs)] if sequential else [{}] * procs
+    for r, (_, tids) in sequential.items():
+        for tid in tids:
+            for p, edges in pieces[tid]:
                 own = single[p]
                 own[r] = own.get(r, 0) + edges
-        c = tuple(tids)
-        row_class.append(c)
-        if c:
-            rows = class_rows.setdefault(c, [])
-            rows.append(r)
-            if len(rows) == 1:  # the class's first row
-                for tid in c:
-                    for p, edges in partition.pieces[tid]:
-                        par = shared[p]
-                        par[c] = par.get(c, 0) + edges
 
     taken = [False] * procs
     # taken rows are never freed, so these only move up
     lowest_free = 0
-    lowest_in_class = dict.fromkeys(class_rows, 0)
+    lowest_in_class = [0] * len(class_rows)
     process_to_row = []
     achieved = []
-    for p in range(procs):
-        own, par = single[p], shared[p]
+    for own, par in zip(single, shared):
         edges, r = 0, procs  # no candidate yet; every candidate shares edges
-        for row, e in own.items():
-            if not taken[row]:
-                e += par.get(row_class[row], 0)
-                if e > edges or (e == edges and row < r):
-                    edges, r = e, row
+        if own:
+            for row, e in own.items():
+                if not taken[row]:
+                    e += par.get(sequential[row][0], 0)
+                    if e > edges or (e == edges and row < r):
+                        edges, r = e, row
         for c, e in par.items():
             rows, j = class_rows[c], lowest_in_class[c]
             while j < len(rows) and taken[rows[j]]:
@@ -228,30 +233,39 @@ def redistribution_cost(
     alpha_msg*messages + beta_edge*edges_moved); messages never exceeds
     P*(P-1).
 
-    One walk over the processes in ascending id reads the tasks of each
-    one's row.  A sequential task's process needs the whole object: every
-    piece (q, e) off that process sends its e edges.  A parallel task
-    appends the process to its group, so each group comes out in
-    ascending id.  A task's deficits and surpluses then come from one
-    merge of its group with the object's pieces, which are sorted by
-    process and hold at least one edge each.
+    The rows come from ``schedule.row_classes``, so this walks no row,
+    and each row's process from the inverse of
+    ``assignment.process_to_row``, built here.  A sequential task's
+    process needs the whole object: every piece (q, e) off that process
+    sends its e edges.  A parallel task's group is the processes of the
+    rows of each class holding it, sorted into ascending id.  A task's
+    deficits and surpluses then come from one merge of its group with
+    the object's pieces, which are sorted by process and hold at least
+    one edge each.
     """
-    rows = schedule.rows
-    size = schedule.group_sizes
+    view = schedule.row_classes
+    pieces_of = partition.pieces
+    process_of = [0] * len(assignment.process_to_row)
+    for p, r in enumerate(assignment.process_to_row):
+        process_of[r] = p
     edges_moved = 0
     pairs = set()
-    groups: Dict[int, List[int]] = {}
-    for p, r in enumerate(assignment.process_to_row):
-        for tid in rows[r]:
-            if size[tid] > 1:
-                groups.setdefault(tid, []).append(p)
-                continue
-            for q, e in partition.pieces[tid]:
+    for r, (_, tids) in view.sequential.items():
+        p = process_of[r]
+        for tid in tids:
+            for q, e in pieces_of[tid]:
                 if q != p:
                     edges_moved += e
                     pairs.add((q, p))
+    groups: Dict[int, List[int]] = {}
+    for tids, rows in view.classes:
+        members = sorted([process_of[r] for r in rows])
+        for tid in tids:
+            # a task in several classes: in two slot orders, or beside other tasks
+            group = groups.get(tid)
+            groups[tid] = members if group is None else sorted(group + members)
     for tid, group in groups.items():
-        pieces = partition.pieces[tid]
+        pieces = pieces_of[tid]
         total = 0
         for _, e in pieces:
             total += e

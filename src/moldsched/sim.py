@@ -296,16 +296,23 @@ def _no_redist_work_units(plan: _OwnerPlan) -> Fraction:
 def _schedule_seconds(
     result: ScheduleResult, tasks: Sequence[TaskSpec], machine: MachineModel
 ) -> Tuple[float, float]:
-    """Makespan/idle of a built schedule with slots priced by ``MachineModel.task_seconds``."""
+    """Makespan/idle of a built schedule with slots priced by ``MachineModel.task_seconds``.
+
+    A row's busy time is its slots' seconds summed left to right from the
+    integer 0, as ``plain_sum`` adds.  Rows with equal tuples give equal
+    sums bit for bit, so each distinct tuple of ``row_classes`` is summed
+    once and its sum copied to its rows.
+    """
     price = machine.task_seconds
     seconds_of = {t.object_id: price(t.workload, k) for t, k in zip(tasks, result.procs_per_task)}
-    # each row summed left to right from the integer 0, as plain_sum adds
-    busy = []
-    for row in result.schedule.rows:
+    schedule = result.schedule
+    busy = [0] * schedule.n_procs
+    for row, rows in schedule.row_classes.by_tuple.items():
         total = 0
         for tid in row:
             total += seconds_of[tid]
-        busy.append(total)
+        for r in rows:
+            busy[r] = total
     makespan = max(busy) if busy else 0.0
     return makespan, _idle_fraction(makespan, busy, len(busy))
 
@@ -320,9 +327,11 @@ def run_strategy(
 
     ``partition`` is the external partition of ``scenario.objects`` onto
     ``procs`` processes, as an earlier run at the same P returned it;
-    when it is None it is built here.  A partition of another P or
-    another object count raises ``ShapeError``, and a report with a
-    figure that is not finite raises ``InvalidScenarioError``.
+    when it is None it is built here.  A partition of another P, another
+    object count or another edge total raises ``ShapeError``; nothing
+    else of it is checked, so a partition of other objects with the same
+    count and edge total still passes.  A report with a figure that is
+    not finite raises ``InvalidScenarioError``.
     """
     objects = scenario.objects
     if partition is None:
@@ -331,6 +340,11 @@ def run_strategy(
         raise ShapeError(
             f"partition of {partition.n_objects} objects onto {partition.n_procs} "
             f"processes does not fit {len(objects)} objects at P={procs}"
+        )
+    elif sum(partition.loads) != ObjectOrders.of(objects).total:
+        raise ShapeError(
+            f"partition of {sum(partition.loads)} edges does not fit objects of "
+            f"{ObjectOrders.of(objects).total} edges"
         )
     tasks = scenario.tasks()
     machine = scenario.machine

@@ -605,6 +605,51 @@ class TestSharedSweep:
         # though the list names any-pi first
         assert calls == {"partition_external": 2, "part_schedule": 2}
 
+    def test_layer_calls_keep_the_shape_a_tracer_wraps(self, interposer, tmp_path, capsys,
+                                                          monkeypatch):
+        # a tracer may replace these names of moldsched.sim and moldsched.cli with
+        # wrappers: each scheduled cell calls the matching and the pricing once,
+        # the pricing with four positional arguments, the third the cell's partition
+        calls = []
+        for name in ("assign_task_lists", "redistribution_cost"):
+            def recorded(*args, _fn=getattr(ms.sim, name), _name=name, **kwargs):
+                calls.append((_name, args, kwargs))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(ms.sim, name, recorded)
+        runs = []
+
+        def recorded_run(*args, _fn=ms.cli.run_strategy, **kwargs):
+            start = len(calls)
+            run = _fn(*args, **kwargs)
+            runs.append((args, kwargs, run, calls[start:]))
+            return run
+
+        monkeypatch.setattr(ms.cli, "run_strategy", recorded_run)
+        path = tmp_path / "interposer.json"
+        path.write_text(scenario_to_json(interposer))
+        code, _, _ = run_cli(capsys, "sweep", str(path), "--procs", "40:80:40")
+        assert code == 0
+        scheduled = 0
+        for args, kwargs, run, made in runs:
+            # (scenario, strategy, P, partition), read by position
+            assert kwargs == {} and len(args) == 4
+            if args[1] is StrategyKind.NO_REDISTRIBUTION:
+                assert made == []
+                continue
+            scheduled += 1
+            (assign, assign_args, assign_kwargs), (price, price_args, price_kwargs) = made
+            assert (assign, price) == ("assign_task_lists", "redistribution_cost")
+            assert assign_kwargs == price_kwargs == {}
+            assert assign_args == (run.schedule_result.schedule, run.partition)
+            assert len(price_args) == 4
+            assert isinstance(price_args[2], ms.PartitionMap)
+            assert price_args[2] is run.partition
+            assert price_args[1] is run.schedule_result.schedule
+        # proposed at both P, and any-pi where the cutoff bound
+        assert scheduled == 2 + sum(restricted_at(interposer, (40, 80)))
+        assert len(calls) == 2 * scheduled
+
 
 # sha256 of the sweep CSV, all strategies; every supported Python must print
 # these bytes.  The srr and interposer digests were recorded before the sweep

@@ -221,3 +221,22 @@ def test_validator_rejects_overbooked_parallel_budget():
     )
     with pytest.raises(ms.InvariantViolationError):
         check_schedule(schedule, tasks, 3)
+
+
+def test_row_classes_of_a_hand_built_schedule():
+    # parallel tasks 0 (rows 0-2) and 1 (rows 0-1, in two slot orders), sequential
+    # tasks 2 and 3 beside task 0 and on their own, and an empty row
+    tasks = [ms.TaskSpec(0, 3, 3), ms.TaskSpec(1, 2, 2), ms.TaskSpec(2, 1), ms.TaskSpec(3, 1)]
+    rows = ((0, 1), (1, 0), (2, 0), (3,), (), (0, 1))
+    schedule = ms.Schedule(rows[:5], tasks)
+    view = schedule.row_classes
+    assert view is schedule.row_classes
+    assert view.by_tuple == {(0, 1): [0], (1, 0): [1], (2, 0): [2], (3,): [3], (): [4]}
+    assert view.classes == [((0, 1), [0]), ((1, 0), [1]), ((0,), [2])]
+    assert view.sequential == {2: (2, (2,)), 3: (-1, (3,))}
+    # a repeated tuple is one class with its rows in ascending order
+    tasks[0] = ms.TaskSpec(0, 3, 4)
+    tasks[1] = ms.TaskSpec(1, 2, 3)
+    view = ms.Schedule(rows, tasks).row_classes
+    assert view.by_tuple[(0, 1)] == [0, 5]
+    assert view.classes == [((0, 1), [0, 5]), ((1, 0), [1]), ((0,), [2])]

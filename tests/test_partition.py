@@ -553,6 +553,31 @@ class TestAgainstDenseReference:
             assert_matches_reference(schedule, part, ms.MachineModel())
 
 
+class TestRowClassShapes:
+    """The shapes the shared row classes serve, against the dense references."""
+
+    @pytest.mark.parametrize("cutoff", [20, None])
+    @pytest.mark.parametrize("procs", [320, 640])
+    def test_interposer_few_tuples_over_many_parallel_rows(self, procs, cutoff, interposer):
+        schedule = ms.part_schedule(interposer.tasks(), procs, cutoff).schedule
+        view = schedule.row_classes
+        assert len(view.by_tuple) == 129
+        assert procs - len(view.sequential) >= procs // 2
+        part = ms.partition_external(interposer.objects, procs)
+        assert_matches_reference(schedule, part, interposer.machine)
+
+    @pytest.mark.parametrize("cutoff", [20, None])
+    def test_srr_parallel_tasks_beside_distinct_sequential_tasks(self, cutoff, srr):
+        schedule = ms.part_schedule(srr.tasks(), 1000, cutoff).schedule
+        view = schedule.row_classes
+        # a class of one parallel task whose rows each hold sequential tasks of their own
+        assert any(len(tids) == 1 and len(rows) > 1 and all(r in view.sequential for r in rows)
+                   for tids, rows in view.classes)
+        assert len(view.by_tuple) == 705
+        part = ms.partition_external(srr.objects, 1000)
+        assert_matches_reference(schedule, part, srr.machine)
+
+
 @st.composite
 def hand_built_cases(draw):
     """A dense owned matrix with zero rows, zero columns and equal entries,

@@ -13,6 +13,7 @@ import moldsched.model
 import moldsched.sim
 from moldsched.cli import main
 from moldsched.model import MAX_PROCS, ObjectOrders
+from moldsched.sched import ScheduleResult
 from moldsched.sim import (
     StrategyKind,
     _idle_fraction,
@@ -635,6 +636,77 @@ class TestPlainSums:
         assert _schedule_seconds(result, tasks, machine) == (1e16, 0.0)
 
 
+def reference_schedule_seconds(result, tasks, machine):
+    """Makespan/idle with every row's slots summed left to right from 0, row by row.
+
+    Kept as the reference for the slot pricing that sums each distinct
+    row tuple once.
+    """
+    price = machine.task_seconds
+    seconds_of = {t.object_id: price(t.workload, k) for t, k in zip(tasks, result.procs_per_task)}
+    busy = []
+    for row in result.schedule.rows:
+        total = 0
+        for tid in row:
+            total += seconds_of[tid]
+        busy.append(total)
+    makespan = max(busy) if busy else 0.0
+    return makespan, _idle_fraction(makespan, busy, len(busy))
+
+
+@st.composite
+def repeated_row_schedules(draw):
+    """Hand-built rows around parallel groups, each row in one of two slot orders.
+
+    Groups drawn over the same rows give equal row tuples, or the same
+    tasks in the other order; sequential tasks make some rows distinct,
+    and rows holding no task stay empty.
+    """
+    procs = draw(st.integers(2, 12))
+    members_of = [sorted(draw(st.sets(st.integers(0, procs - 1), min_size=2)))
+                  for _ in range(draw(st.integers(1, 3)))]
+    members_of += [[r] for r in draw(st.lists(st.integers(0, procs - 1), max_size=6))]
+    rows = [[] for _ in range(procs)]
+    for tid, members in enumerate(members_of):
+        for r in members:
+            rows[r].append(tid)
+    rows = tuple(tuple(row[::-1]) if draw(st.booleans()) else tuple(row) for row in rows)
+    workloads = st.sampled_from([0, 1, 3, 7, 10**6 + 1, 10**16])
+    tasks = [ms.TaskSpec(tid, draw(workloads), len(members))
+             for tid, members in enumerate(members_of)]
+    schedule = ms.Schedule(rows, tasks)
+    procs_per_task = tuple(len(members) for members in members_of)
+    result = ScheduleResult(schedule, schedule.makespan(), procs_per_task, 0, False, "none")
+    return result, tasks
+
+
+def part_schedule_case(edges, procs, cutoff):
+    objects = [ms.Object(i, e) for i, e in enumerate(edges)]
+    tasks = ms.tasks_from_objects(objects)
+    return ms.part_schedule(tasks, procs, cutoff), tasks
+
+
+slot_coefficients = st.sampled_from([0.0, 1e-9, 0.1, 1.0, 3.7e-5, 1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.one_of(
+        repeated_row_schedules(),
+        st.builds(part_schedule_case,
+                  st.lists(st.integers(0, 60), min_size=1, max_size=30).filter(any),
+                  st.integers(1, 40), st.one_of(st.none(), st.integers(1, 20))),
+    ),
+    t_work=slot_coefficients, gamma_grid=slot_coefficients,
+)
+def test_property_schedule_seconds_is_the_reference(case, t_work, gamma_grid):
+    # the same float sums bit for bit, so the same makespan and idle fraction
+    result, tasks = case
+    machine = ms.MachineModel(t_work=t_work, gamma_grid=gamma_grid)
+    got = _schedule_seconds(result, tasks, machine)
+    assert repr(got) == repr(reference_schedule_seconds(result, tasks, machine))
+
+
 class TestSimulate:
     def test_single_object_single_process_strategies_agree(self):
         scenario = ms.gen_random(1, (40, 40), seed=1)
@@ -695,6 +767,22 @@ class TestSimulate:
                 with pytest.raises(ms.ShapeError):
                     run_strategy(srr, kind, 100, part)
             assert run_strategy(srr, kind, 100, fits).report == ms.simulate(srr, kind, 100)
+
+    def test_partition_of_objects_with_another_edge_total(self, srr):
+        other = ms.gen_srr((1116, 279, 93))
+        assert len(other.objects) == len(srr.objects)
+        part = ms.partition_external(other.objects, 100)
+        assert (sum(part.loads), ObjectOrders.of(srr.objects).total) == (1282098, 1282284)
+        for kind in StrategyKind:
+            with pytest.raises(ms.ShapeError, match="1282098 edges"):
+                run_strategy(srr, kind, 100, part)
+
+    def test_partition_of_other_objects_with_the_same_edge_total_passes(self):
+        # only the shape and the edge total are checked, not each object's edges
+        scenario = ms.Scenario(name="two", objects=(ms.Object(0, 5), ms.Object(1, 3)))
+        swapped = ms.partition_external((ms.Object(0, 3), ms.Object(1, 5)), 2)
+        for kind in StrategyKind:
+            run_strategy(scenario, kind, 2, swapped)
 
     def test_report_fields_are_sane(self, interposer):
         report = ms.simulate(interposer, StrategyKind.PROPOSED, 80)
