@@ -259,9 +259,11 @@ def _cmd_gen(args) -> int:
         elif args.kind == "interposer":
             scenario = gen_interposer()
         else:
-            lo, _, hi = args.edges.partition(":")
-            edge_range = (int(lo), int(hi if hi else lo))
-            scenario = gen_random(args.objects, edge_range, args.seed)
+            try:
+                lo, hi = map(int, args.edges.split(":"))
+            except ValueError:
+                raise InvalidScenarioError(f"--edges must be LO:HI, got {args.edges!r}") from None
+            scenario = gen_random(args.objects, (lo, hi), args.seed)
     except (InvalidScenarioError, ValueError) as exc:
         print(f"moldsched gen: {exc}", file=sys.stderr)
         return EXIT_USAGE

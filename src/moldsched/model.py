@@ -65,8 +65,10 @@ class TaskSpec:
     """One internal-problem task: a workload plus its processor count P_i.
 
     ``workload`` is in work units (edges squared for scenario-derived
-    tasks); ``procs`` is the P_i the scheduler has currently assigned.
-    The task id is the id of the referenced object.
+    tasks).  ``procs`` is a fixed P_i, read by ``sched.lpt_schedule``,
+    ``task_duration`` and ``sim.dense_task_time``; ``sched.part_schedule``
+    chooses its own P_i, starting every task at 1, and only rejects procs
+    < 1.  The task id is the id of the referenced object.
     """
 
     object_id: int
@@ -224,7 +226,7 @@ class TaskOrders(_PerTuple):
 
     @cached_property
     def step_logs(self) -> Dict[Optional[int], object]:
-        """Part_Schedule's step log per cutoff, grown by ``sched.part_schedule``."""
+        """Part_Schedule's step log per cutoff: a ``sched._StepLog``, grown as walks need steps."""
         return {}
 
 

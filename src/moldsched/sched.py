@@ -5,15 +5,16 @@ rationals, and every comparison (including the makespan equality test
 the iterative scheduler's stopping rule needs) is made on Python
 integers, never on rounded floats.  There is one scheduling path, in
 pure Python.  The iterative scheduler carries its makespans as integer
-(numerator, denominator) pairs and compares W/P values by
-cross-multiplying; a ``Fraction`` is made once, for the returned c_max.
+(numerator, denominator) pairs compared cross-multiplied, and orders W/P
+by integer keys; a ``Fraction`` is made once, for the returned c_max.
 
 Which task the iterative scheduler grows, and by how much, does not
 depend on P: P only decides where its loop stops.  So its steps are
-logged once per task tuple and cutoff, as (task, old P_i, d), and every
-P of a sweep walks the same log, which grows at its end only when a
-larger P needs more steps.  The P_i of the best schedule are replayed
-from the log's prefix, so no step copies the P_i.
+logged once per task tuple and cutoff, as (task, old P_i, d), with the
+sum of the P_i and the parallel task count after each step.  The log
+owns that state and picks each next step itself, and every P of a sweep
+walks it and reads its state there.  The P_i of the best schedule are
+replayed from the log's prefix, so no step copies the P_i.
 
 It needs only the makespan of each rebuilt schedule.  It skips the
 rebuild when the makespan is the longest task's duration: when the idle
@@ -331,17 +332,15 @@ def lpt_schedule(tasks: Sequence[TaskSpec], procs: int) -> ScheduleResult:
     )
 
 
-class _Longer:
-    """A parallel task in Part_Schedule's heap: the longest W/P first, ties to the lowest id."""
+# Two distinct W/P with P, P' <= MAX_PROCS differ by at least 1/MAX_PROCS**2,
+# more than 2**-SHIFT, so their keys in ``_entry`` differ, and equal W/P get
+# equal keys
+SHIFT = 2 * MAX_PROCS.bit_length()
 
-    __slots__ = ("w", "p", "tid", "i")
 
-    def __init__(self, w: int, p: int, tid: int, i: int):
-        self.w, self.p, self.tid, self.i = w, p, tid, i
-
-    def __lt__(self, other: "_Longer") -> bool:
-        a, b = self.w * other.p, other.w * self.p
-        return a > b or (a == b and self.tid < other.tid)
+def _entry(w: int, tid: int, i: int, p: int) -> Tuple[int, int, int, int]:
+    """Task i's entry in ``_StepLog``'s heap: the longest W/P first, ties to the lowest id."""
+    return -((w << SHIFT) // p), tid, i, p
 
 
 class _StepLog:
@@ -351,33 +350,64 @@ class _StepLog:
     to the lowest id), at P_i = p, and step s grows it to p + d.  Which
     task grows, and by how much, reads the P_i and the cutoff only; P
     decides only where the loop stops.  So every P walks one sequence of
-    steps, and a walk that takes the last logged step logs the next one;
-    no step is ever rewritten.  ``first_wide`` is the first step with
-    d > 1, once one is logged: a walk that takes it is restricted.
+    steps, and a walk that takes the last logged step calls ``grow`` to
+    log the next one; no step is ever rewritten.  ``first_wide`` is the
+    first step with d > 1, once one is logged: a walk that takes it is
+    restricted.
 
-    The frontier is the state before the last logged step: its parallel
-    tasks in a heap, longest first (``parallel``), each entry holding its
+    Three arrays of 64-bit integers hold one entry per logged step s: the
+    sum of all P_i after s steps (``sums``), the parallel task count
+    (``ks``), and the first step after which the longest duration was what
+    it is after s steps (``best``).  A walk reads its state after s steps
+    from them.  Each fits: a sum is at most P + n, and P is at most
+    ``MAX_PROCS``.
+
+    ``parallel`` is the state before the last logged step: its parallel
+    tasks in a heap of ``_entry`` tuples, longest first, each holding its
     task's P_i, the only copy of it.  The parallel tasks are the prefix
     ``order[:k]`` of the sequential LPT order, k the heap's size, and the
-    longest sequential task is ``order[k]``, at P_i = 1.
-
-    A P >= n starts from three arrays of 64-bit integers with one entry
-    per logged step s, appended as the step is logged: the sum of all
-    P_i after s steps (``sums``), the parallel task count (``ks``), and
-    the first step after which the longest duration was what it is after
-    s steps (``best``).  Each fits: a sum is at most P + n, and P is at
-    most ``MAX_PROCS``.
+    longest sequential task is ``order[k]``, at P_i = 1.  The log holds
+    lists of ``TaskOrders``, not the ``TaskOrders``, which holds the log.
     """
 
-    __slots__ = ("steps", "first_wide", "parallel", "sums", "ks", "best")
+    __slots__ = ("cutoff", "ids", "workloads", "order", "steps", "first_wide", "parallel",
+                 "sums", "ks", "best")
 
-    def __init__(self, orders: TaskOrders):
+    def __init__(self, orders: TaskOrders, cutoff: Optional[int]):
+        self.cutoff = cutoff
+        self.ids, self.workloads, self.order = orders.ids, orders.workloads, orders.order
         # P_i = 1 is below any cutoff, or 1 -> 2 is the step to the next approximate square
         self.steps = [(orders.order[0], 1, 1)]
         self.first_wide: Optional[int] = None
-        self.parallel: List[_Longer] = []
+        self.parallel: List[Tuple[int, int, int, int]] = []
         self.sums = array("q", [len(orders.order)])
         self.ks, self.best = array("q", [0]), array("q", [0])
+
+    def grow(self) -> None:
+        """Take the last logged step on the heap, and log the next one."""
+        ids, workloads, order, parallel = self.ids, self.workloads, self.order, self.parallel
+        s = len(self.steps)
+        j, p, d = self.steps[-1]
+        w = workloads[j]
+        k = self.ks[-1] + (p == 1)
+        # j turns parallel, or is the heap's top.  Every P_i on the heap is at most
+        # P <= MAX_PROCS: a walk takes a step, and so logs the next one, only once
+        # its overdraw test has passed.
+        (heapq.heappush if p == 1 else heapq.heapreplace)(parallel, _entry(w, ids[j], j, p + d))
+        # the longest task and its P_i: the heap's top, or order[k] at P_i = 1
+        head = parallel[0]
+        if k < len(order):
+            t = order[k]
+            head = min(head, _entry(workloads[t], ids[t], t, 1))
+        _, _, i, q = head
+        e = 1 if self.cutoff is None or q < self.cutoff else next_approx_square_increment(q)
+        if e > 1 and self.first_wide is None:
+            self.first_wide = s
+        self.steps.append((i, q, e))
+        self.sums.append(self.sums[-1] + d)
+        self.ks.append(k)
+        # the longest duration never grows: it ties step s - 1's or falls below it
+        self.best.append(self.best[-1] if workloads[i] * p == w * q else s)
 
 
 def part_schedule(
@@ -407,8 +437,11 @@ def part_schedule(
 
     The steps do not depend on P, so they are logged once per task tuple
     and cutoff (``TaskOrders.step_logs``, see ``_StepLog``), and a call
-    walks the log: it charges the budget, runs the stop tests, and finds
-    only the makespans this P needs.  The parallel tasks are always the
+    walks the log: it reads each state's parallel count and budget from
+    it, runs the stop tests, finds only the makespans this P needs, and
+    has the log grow when it takes the last logged step.  The placement
+    replays the log's prefix up to the best schedule into a fresh list of
+    P_i, and runs one LPT pass.  The parallel tasks are always the
     longest-first prefix of the sequential LPT order, and the rebuild's
     makespan reads them as a multiset of (W_i, P_i) classes, brought up
     to the current step only when a makespan needs it.
@@ -435,13 +468,8 @@ def part_schedule(
     there stops the loop as not-longest, overdraw or worse; the budget
     runs out only at the prefix's end, when every task is parallel and
     their P_i sum to P.  So the walk starts at the prefix's last logged
-    step, with the log's per-step sums, parallel counts and first-best
-    steps, and tests the cut at each step from there as before.
-
-    A walk that takes the last logged step takes it at the log's frontier
-    too, and logs the next one.  The placement replays the log's prefix
-    up to the best schedule into a fresh list of P_i, and runs one LPT
-    pass.
+    step, with the log's first step of that step's makespan as the best,
+    and tests the cut at each step from there as before.
     """
     if not tasks:
         raise InvalidTaskError("part_schedule needs a nonempty task list")
@@ -454,14 +482,14 @@ def part_schedule(
     # parallel is always the first sequential one: the parallel tasks are
     # the prefix order[:k].  The order and its runs of equal workloads
     # depend on the tasks only, so they are built once per task tuple.
-    ids, workloads, order = orders.ids, orders.workloads, orders.order
+    workloads, order = orders.workloads, orders.order
     # runs of equal workloads in ``order``: (W, count), ending at ends[r]
     runs, ends = orders.runs, orders.ends
     n = len(tasks)
     log = orders.step_logs.get(cutoff)
     if log is None:
-        log = orders.step_logs[cutoff] = _StepLog(orders)
-    steps, parallel = log.steps, log.parallel
+        log = orders.step_logs[cutoff] = _StepLog(orders, cutoff)
+    steps, sums, ks = log.steps, log.sums, log.ks
     # Graham's bound per run, built at its first test
     reach: Optional[List[int]] = None
 
@@ -472,31 +500,28 @@ def part_schedule(
     classes: Dict[Tuple[int, int], int] = {}
     taken = 0
 
-    # after s steps: k parallel tasks, order[k] in runs[r], and the budget
-    # is P less the parallel P_i.  Makespans are (numerator, denominator)
-    # pairs, compared cross-multiplied.
+    # Makespans are (numerator, denominator) pairs, compared cross-multiplied.
+    # No makespan kept is worse than the one before, so the current one is
+    # the best so far.
     if n <= procs:
         # the cut settles the makespans after 0..s steps: all P_i sum to at most P
-        s = bisect_right(log.sums, procs) - 1
-        k = log.ks[s]
-        budget = procs - (log.sums[s] - (n - k))
+        s = bisect_right(sums, procs) - 1
+        best_steps = log.best[s]
         routes[0] = s
         j, p, _ = steps[s]
-        best_top, best_den = workloads[j], p
-        best_steps = log.best[s]
+        cur_top, cur_den = workloads[j], p
     else:
-        s = k = best_steps = 0
-        budget = procs
-        # 1/0 stands for an infinite makespan: the first one found is not
-        # worse, and is the best so far
-        best_top, best_den = 1, 0
-    cur_top, cur_den = best_top, best_den
-    r = bisect_right(ends, k)
+        s = best_steps = 0
+        # 1/0 stands for an infinite makespan: the first one found is lower
+        cur_top, cur_den = 1, 0
 
     while True:
-        # the makespan after s steps; the longest task j gives c_max >= W_j/P_j
+        # after s steps: k parallel tasks, and the budget is P less the parallel P_i;
+        # the longest task j gives c_max >= W_j/P_j
         j, p, d = steps[s]
         w = workloads[j]
+        k = ks[s]
+        budget = procs - sums[s] + n - k
         if n - k <= budget:
             # each sequential task runs alone from time 0
             routes[0] += 1
@@ -510,9 +535,10 @@ def part_schedule(
                 # never grows with r.
                 reach = [ahead + procs * v for ahead, (v, _) in zip(orders.last_ahead, runs)]
                 reach = list(accumulate(reversed(reach), max))[::-1]
-            # g: the first run from which Graham's bound caps every finish at
-            # W_j/P_j (reach is an int); h: the first run the idle processors do
-            # not hold whole (see the docstring for why g <= h settles it)
+            # r: order[k]'s run; g: the first run from which Graham's bound caps
+            # every finish at W_j/P_j (reach is an int); h: the first run the idle
+            # processors do not hold whole (see the docstring for why g <= h settles it)
+            r = bisect_right(ends, k)
             g = bisect_left(reach, -(procs * w // p), r, key=neg)
             h = bisect_right(ends, k + budget, r)
             if g <= h:
@@ -533,60 +559,29 @@ def part_schedule(
         if top * cur_den > cur_top * den:
             stop_reason = "worse"
             break
-        cur_top, cur_den = top, den
-        if top * best_den < best_top * den:
-            best_top, best_den = top, den
+        if top * cur_den < cur_top * den:
             best_steps = s
+        cur_top, cur_den = top, den
         if budget <= 0:
             stop_reason = "budget"
             break
         # step s grows j by d
         s += 1
-        budget -= d + 1 if p == 1 else d
         # stop when c_max is no longer the longest task's W_j/P_j
-        if cur_top * p != w * cur_den:
+        if top * p != w * den:
             stop_reason = "not-longest"
             break
-        if budget < 0:
+        # the step is charged d, plus 1 when j turns parallel
+        if budget < (d + 1 if p == 1 else d):
             stop_reason = "overdraw"
             break
-        if p == 1:
-            k += 1
-            if k == ends[r]:
-                r += 1
         if s == len(steps):
-            # no walk took step s - 1 before: take it at the frontier, and log step s
-            if p == 1:
-                heapq.heappush(parallel, _Longer(w, 1 + d, ids[j], j))
-            else:
-                # j is the heap's top, and growing it only shortens it
-                head = parallel[0]
-                head.p = p + d
-                size = len(parallel)
-                if (size > 1 and parallel[1] < head) or (size > 2 and parallel[2] < head):
-                    heapq.heapreplace(parallel, head)
-            # the longest task and its P_i: the heap's top, or order[k] at P_i = 1,
-            # W_i/1 against W/P cross-multiplied
-            head = parallel[0]
-            i, q = head.i, head.p
-            if k < n:
-                t = order[k]
-                v = workloads[t] * q
-                if v > head.w or (v == head.w and ids[t] < head.tid):
-                    i, q = t, 1
-            e = 1 if cutoff is None or q < cutoff else next_approx_square_increment(q)
-            if e > 1 and log.first_wide is None:
-                log.first_wide = s
-            steps.append((i, q, e))
-            log.sums.append(log.sums[-1] + d)
-            log.ks.append(k)
-            # the longest duration never grows: it ties step s - 1's or falls below it
-            log.best.append(log.best[-1] if workloads[i] * p == w * q else s)
+            log.grow()
 
     pi = [1] * n
     for i, p, d in steps[:best_steps]:
         pi[i] = p + d
-    # the placement's makespan is best_top / best_den: the same LPT pass.  The
+    # the placement's makespan is cur_top / cur_den: the same LPT pass.  The
     # grown tasks are the parallel ones, the prefix order[:best_k], and its
     # sequential tasks order[best_k:], already longest first.
     best_k = n - pi.count(1)

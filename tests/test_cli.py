@@ -72,6 +72,12 @@ class TestGen:
         assert (code, out) == (1, "")
         assert "MAX_OBJECTS" in err
 
+    @pytest.mark.parametrize("edges", ["5:", "5"])
+    def test_edges_not_lo_hi_is_usage_error(self, edges, capsys):
+        code, out, err = run_cli(capsys, "gen", "random", "--objects", "3", "--edges", edges)
+        assert (code, out) == (1, "")
+        assert "--edges must be LO:HI" in err
+
     def test_srr_class_counts(self, tmp_path, capsys):
         out = tmp_path / "srr.json"
         code, _, _ = run_cli(

@@ -2,10 +2,15 @@ import heapq
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+try:
+    import numpy as np
+except ImportError:
+    # the bare install has no numpy: it runs only the tests not marked numpy
+    np = None
 
 import moldsched as ms
 from moldsched.model import ObjectOrders
@@ -160,6 +165,7 @@ def assert_matches_reference(schedule, partition, machine):
 
 
 class TestPartitionExternal:
+    @pytest.mark.numpy
     def test_bus_regime_two_processes_per_conductor(self):
         part = ms.partition_external(objects_of([7026] * 10), 20)
         assert part.owned.sum() == 70260
@@ -171,6 +177,7 @@ class TestPartitionExternal:
         assert list(part.partition_counts()) == [1] * 4
         assert list(part.loads) == [100] * 4
 
+    @pytest.mark.numpy
     def test_loads_of_split_objects_at_high_p(self):
         # the partitioner hands its heap's loads to the map; they equal the
         # loads summed from the pieces alone.  760 is the last P of the
@@ -184,10 +191,12 @@ class TestPartitionExternal:
             rebuilt = sparse_partition(procs, part.pieces)
             assert rebuilt.loads == part.loads
 
+    @pytest.mark.numpy
     def test_single_process_identity(self):
         part = ms.partition_external(objects_of([100]), 1)
         assert part.owned.tolist() == [[100]]
 
+    @pytest.mark.numpy
     def test_column_sums_and_no_split_guarantees(self):
         rng = random.Random(3)
         for _ in range(100):
@@ -225,6 +234,7 @@ def assert_partition_matches_reference(objects, procs):
 class TestSizeOrderPerObjectsTuple:
     """The id check, edge total and size order are kept for the last objects tuple."""
 
+    @pytest.mark.numpy
     def test_alternating_scenarios(self, srr):
         shuffled = list(srr.objects)
         random.Random(1).shuffle(shuffled)
@@ -233,6 +243,7 @@ class TestSizeOrderPerObjectsTuple:
             for procs in (3, 60, 1000):
                 assert_partition_matches_reference(objects, procs)
 
+    @pytest.mark.numpy
     def test_list_changed_in_place_is_not_stale(self):
         objs = objects_of([5, 0, 9, 9, 2])
         assert_partition_matches_reference(objs, 4)
@@ -264,6 +275,7 @@ def two_row_schedule(workloads):
 
 
 class TestAssignTaskLists:
+    @pytest.mark.numpy
     def test_symmetric_optimum(self):
         schedule = two_row_schedule([2, 1])
         part = dense_partition(np.array([[100, 10], [10, 100]]))
@@ -271,6 +283,7 @@ class TestAssignTaskLists:
         assert got.process_to_row == (0, 1)
         assert got.overlap == (100, 100)
 
+    @pytest.mark.numpy
     def test_greedy_is_not_globally_optimal(self):
         schedule = two_row_schedule([2, 1])
         part = dense_partition(np.array([[100, 90], [95, 5]]))
@@ -278,12 +291,14 @@ class TestAssignTaskLists:
         assert got.process_to_row == (0, 1)
         assert sum(got.overlap) == 105  # the swapped assignment reaches 185
 
+    @pytest.mark.numpy
     def test_single_process(self):
         schedule = two_row_schedule([7])
         part = dense_partition(np.array([[7]]))
         got = ms.assign_task_lists(schedule, part)
         assert got.process_to_row == (0,)
 
+    @pytest.mark.numpy
     def test_shape_mismatch(self):
         schedule = two_row_schedule([2, 1])
         part = dense_partition(np.array([[5, 5]]))
@@ -301,6 +316,7 @@ class TestAssignTaskLists:
             got = ms.assign_task_lists(schedule, part)
             assert sorted(got.process_to_row) == list(range(n))
 
+    @pytest.mark.numpy
     def test_equivariance_without_conflicts(self):
         # when every process prefers a distinct row, the ascending-id visit
         # order is immaterial and relabeling processes relabels the result
@@ -322,6 +338,7 @@ class TestAssignTaskLists:
             for p in range(n):
                 assert got_perm.process_to_row[p] == got.process_to_row[perm[p]]
 
+    @pytest.mark.numpy
     def test_greedy_beats_identity_and_random_bijections(self, interposer, srr):
         rng = random.Random(41)
         for scenario, procs in ((ms.gen_bus(5), 20), (interposer, 80), (srr, 100)):
@@ -345,6 +362,7 @@ class TestAssignTaskLists:
 
 
 class TestRedistribution:
+    @pytest.mark.numpy
     def test_perfectly_aligned_is_free(self):
         objs = objects_of([100, 100])
         schedule = two_row_schedule([100 * 100] * 2)
@@ -355,6 +373,7 @@ class TestRedistribution:
         )
         assert (moved, messages, seconds) == (0, 0, 0.0)
 
+    @pytest.mark.numpy
     def test_single_owner_sends_to_other_process(self):
         # p0 owns all of both objects; row with object 1 lands on p1
         schedule = two_row_schedule([2, 1])
@@ -404,6 +423,7 @@ def assert_cost_matches_reference(process_to_row, schedule, part, expected=None)
         assert cost[:2] == expected
 
 
+@pytest.mark.numpy
 class TestSequentialRedistribution:
     """A sequential task's row process needs its whole object."""
 
@@ -435,6 +455,7 @@ def one_parallel_task(procs, rows, pieces):
     return schedule, sparse_partition(procs, (pieces,))
 
 
+@pytest.mark.numpy
 class TestParallelRedistribution:
     """The even shares of a parallel task's group, merged with its object's pieces.
 
@@ -466,6 +487,7 @@ class TestParallelRedistribution:
         assert_cost_matches_reference((3, 1, 2, 0), schedule, part, (7, 3))
 
 
+@pytest.mark.numpy
 @settings(max_examples=200, deadline=None)
 @given(
     edges=st.lists(st.integers(1000, 1999), min_size=1, max_size=4),
@@ -502,6 +524,7 @@ HAND_BUILT = (
 
 
 class TestPieces:
+    @pytest.mark.numpy
     def test_hand_built(self):
         part = dense_partition(np.array([[100, 0, 50], [0, 0, 7], [3, 0, 0]]))
         assert part.pieces == (((0, 100), (2, 3)), (), ((0, 50), (1, 7)))
@@ -511,6 +534,7 @@ class TestPieces:
         assert part.pieces is part.pieces
 
 
+@pytest.mark.numpy
 class TestAgainstDenseReference:
     @pytest.mark.parametrize("cutoff", [20, None])
     def test_structures(self, cutoff, interposer, srr):
@@ -553,6 +577,7 @@ class TestAgainstDenseReference:
             assert_matches_reference(schedule, part, ms.MachineModel())
 
 
+@pytest.mark.numpy
 class TestRowClassShapes:
     """The shapes the shared row classes serve, against the dense references."""
 
@@ -648,6 +673,7 @@ def grouped_cases(draw):
     return schedule, dense_partition(owned)
 
 
+@pytest.mark.numpy
 @settings(max_examples=300, deadline=None)
 @given(case=st.one_of(hand_built_cases(), grouped_cases()), data=st.data())
 def test_property_assign_matches_dense_reference(case, data):
@@ -663,6 +689,7 @@ def test_property_assign_matches_dense_reference(case, data):
     assert_cost_matches_reference(process_to_row, schedule, part)
 
 
+@pytest.mark.numpy
 @settings(max_examples=300, deadline=None)
 @given(
     edges=st.lists(st.integers(0, 60), min_size=1, max_size=30).filter(any),
@@ -680,6 +707,7 @@ def test_property_pieces_and_redistribution(edges, procs, cutoff):
     assert messages <= procs * (procs - 1)
 
 
+@pytest.mark.numpy
 @settings(max_examples=300, deadline=None)
 @given(
     edges=st.lists(st.integers(0, 500), min_size=1, max_size=30).filter(any),
@@ -765,6 +793,7 @@ def phase_boundary_cases(draw):
     return draw(st.permutations(edges)), procs, regime
 
 
+@pytest.mark.numpy
 @settings(max_examples=300, deadline=None)
 @given(case=phase_boundary_cases())
 def test_property_partition_phases_match_dense_reference(case):

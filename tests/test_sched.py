@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import moldsched as ms
-from moldsched.model import TaskOrders, check_schedule
+from moldsched.model import MAX_PROCS, TaskOrders, check_schedule
 
 from conftest import groups_of
 
@@ -760,6 +760,63 @@ def test_step_logs_are_released(monkeypatch):
     # a list's log lives for one call
     ms.part_schedule(make_tasks([9, 5, 5, 1]), 12, 20)
     assert len(made) == 3 and made[2]() is None and made[1]() is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    workloads=WORKLOAD_RUNS,
+    spares=st.lists(st.integers(-63, 63), min_size=1, max_size=4),
+    cutoff=st.sampled_from([None, 1, 2, 20]),
+)
+def test_property_step_log_facts(workloads, spares, cutoff):
+    # walks at several P grow one log; each logged state's facts follow from its steps
+    tasks = tuple(make_tasks(workloads))
+    for spare in spares:
+        ms.part_schedule(tasks, min(96, max(1, len(tasks) + spare)), cutoff)
+    log = TaskOrders.of(tasks).step_logs[cutoff]
+    steps, n = log.steps, len(tasks)
+    longest = [Fraction(workloads[i], p) for i, p, _ in steps]
+    for s in range(len(steps)):
+        assert log.sums[s] == n + sum(d for _, _, d in steps[:s])
+        assert log.ks[s] == sum(p == 1 for _, p, _ in steps[:s])
+        assert log.best[s] == longest.index(longest[s])
+    wide = [s for s, (_, _, d) in enumerate(steps) if d > 1]
+    assert log.first_wide == (wide[0] if wide else None)
+
+
+RATIOS = st.tuples(st.integers(0, 2**70), st.integers(1, MAX_PROCS), st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=RATIOS, b=RATIOS, scale=st.integers(1, 2**10))
+# Farey neighbours at the limit: they differ by 1/(2**20 * (2**20 - 1))
+@example(a=(2**20 - 1, 2**20, 0), b=(2**20 - 2, 2**20 - 1, 1), scale=1)
+@example(a=(2**20 - 2, 2**20 - 1, 0), b=(2**20 - 1, 2**20, 1), scale=1)
+# an equal ratio at P = MAX_PROCS
+@example(a=(2**19 - 1, 2**19, 2), b=(0, 1, 0), scale=2)
+@example(a=((2**20 - 1) * 2**49, 2**20, 1), b=((2**20 - 2) * 2**49, 2**20 - 1, 0), scale=1)
+def test_property_heap_key_orders_by_ratio(a, b, scale):
+    # the key orders (W, P, id) as (-W/P, id) does; b is also drawn as a multiple of a
+    (w, p, tid), (v, q, uid) = a, b
+    pairs = [((w, p, tid), (v, q, uid))]
+    if p * scale <= MAX_PROCS:
+        pairs.append(((w, p, tid), (w * scale, p * scale, uid)))
+    for (w, p, tid), (v, q, uid) in pairs:
+        x, y = ms.sched._entry(w, tid, 0, p), ms.sched._entry(v, uid, 0, q)
+        assert (x[0] == y[0]) == (Fraction(w, p) == Fraction(v, q))
+        assert (x[:2] < y[:2]) == ((-Fraction(w, p), tid) < (-Fraction(v, q), uid))
+
+
+def test_heap_key_shift_covers_max_procs():
+    # raising MAX_PROCS without SHIFT would let two distinct W/P share a key
+    assert MAX_PROCS ** 2 < 2 ** ms.sched.SHIFT
+
+
+def test_part_schedule_ignores_the_tasks_procs():
+    # every task starts at P_i = 1, whatever its ``procs`` field holds
+    for procs in range(1, 7):
+        assert_same_walk(ms.part_schedule((ms.TaskSpec(0, 10, 3), ms.TaskSpec(1, 4)), procs),
+                         ms.part_schedule((ms.TaskSpec(0, 10, 1), ms.TaskSpec(1, 4)), procs))
 
 
 def assert_results_equal(a, b):

@@ -3,10 +3,15 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+try:
+    import numpy as np
+except ImportError:
+    # the bare install has no numpy: it runs only the tests not marked numpy
+    np = None
 
 import moldsched as ms
 import moldsched.model
@@ -181,11 +186,13 @@ def test_more_than_max_procs_refused(call):
 
 
 class TestExternalPhase:
+    @pytest.mark.numpy
     def test_balanced_loads(self):
         part = dense_partition(np.array([[50, 0], [0, 50]]))
         machine = ms.MachineModel(t_near=1e-3, t_fft=0.0, grid=(0, 0, 0))
         assert ms.external_phase_time(part, machine) == pytest.approx(0.05)
 
+    @pytest.mark.numpy
     def test_single_process_full_cost(self):
         part = dense_partition(np.array([[30, 70]]))
         machine = ms.MachineModel(t_near=1.0, t_fft=1.0, grid=(16, 8, 8))
@@ -201,6 +208,7 @@ class TestExternalPhase:
         expected = machine.t_near * 3513 + machine.t_fft * 80000 * math.log2(80000) / 20
         assert got == pytest.approx(expected)
 
+    @pytest.mark.numpy
     def test_zero_grid_points_drop_fft_term(self):
         part = dense_partition(np.array([[10]]))
         machine = ms.MachineModel(t_near=1.0, t_fft=5.0, grid=(0, 0, 0))
@@ -208,6 +216,7 @@ class TestExternalPhase:
 
 
 class TestNoRedistribution:
+    @pytest.mark.numpy
     def test_disjoint_singletons_no_idle(self):
         objs = [ms.Object(0, 10), ms.Object(1, 10)]
         part = dense_partition(np.array([[10, 0], [0, 10]]))
@@ -216,6 +225,7 @@ class TestNoRedistribution:
         assert makespan == pytest.approx(100.0)
         assert idle == 0.0
 
+    @pytest.mark.numpy
     def test_chain_blocks_middle_processor(self):
         # A on {p0,p1}, B on {p1,p2}, equal durations: B waits for A, the
         # outer processors are each idle for half the phase
@@ -236,6 +246,7 @@ class TestNoRedistribution:
         assert idle == 0.0
 
 
+@pytest.mark.numpy
 class TestNoRedistWorkUnits:
     def _assert_matches(self, objects, partition):
         got = no_redist_units(objects, partition)
@@ -296,6 +307,7 @@ class TestOwnerGroups:
         assert [sorted(h) for h in plan.heaps] == [[(0, -36, 1, [1, 2]), (0, -25, 2, 1)]]
         assert plan.lone == []
 
+    @pytest.mark.numpy
     def test_follow_the_order_of_the_objects(self):
         objs = [ms.Object(0, 7), ms.Object(1, 0), ms.Object(2, 9)]
         part = dense_partition(np.array([[3, 0, 3], [2, 0, 0], [2, 0, 6]]))
@@ -342,6 +354,7 @@ def alternating_cases(srr):
 class TestOrdersPerObjectsTuple:
     """Both no-redist passes read the (-W, position) order kept for the last objects tuple."""
 
+    @pytest.mark.numpy
     def test_alternating_scenarios(self, srr):
         for objects, procs_list in alternating_cases(srr) * 2:
             for procs in procs_list:
@@ -376,6 +389,7 @@ class TestOrdersPerObjectsTuple:
             assert len(built) == plans
             assert all(objects == srr.objects for _, objects in built)
 
+    @pytest.mark.numpy
     def test_list_changed_in_place_is_not_stale(self):
         machine = ms.MachineModel(t_work=1.0, gamma_grid=0.5)
         objs = list(ms.gen_random(30, (0, 40), 4).objects)
@@ -446,6 +460,7 @@ class TestSimultaneitySchedule:
                 part = ms.partition_external(scenario.objects, procs)
                 assert_owner_schedules_match(scenario.objects, part, scenario.machine)
 
+    @pytest.mark.numpy
     def test_hand_built_partitions_match_reference(self):
         machine = ms.MachineModel(t_work=1.0, gamma_grid=0.5)
         objs = [ms.Object(0, 10), ms.Object(1, 10)]
@@ -469,6 +484,7 @@ class TestSimultaneitySchedule:
         assert makespan == busy[0] == 1e16
         assert busy[1:] == [6.0, 4.0]
 
+    @pytest.mark.numpy
     def test_random_1500_objects_match_references(self):
         scenario = ms.gen_random(1500, (50, 1500), 0)
         for procs, split in ((760, False), (1000, True)):
@@ -479,6 +495,7 @@ class TestSimultaneitySchedule:
             units = no_redist_units(scenario.objects, part)
             assert units == reference_no_redist_work_units(scenario.objects, part)
 
+    @pytest.mark.numpy
     def test_past_p_1000_match_references(self, srr, interposer, random300):
         for scenario in (srr, interposer, random300):
             for procs in (2000, 4000):
