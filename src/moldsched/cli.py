@@ -28,6 +28,7 @@ from .model import (
     Object,
     Scenario,
     SchedulingError,
+    check_procs,
 )
 from .scenarios import gen_bus, gen_interposer, gen_random, gen_srr
 from .sched import ideal_length, normalized_length, part_schedule
@@ -106,8 +107,6 @@ def scenario_from_json(text: str) -> Scenario:
         if not isinstance(entry, dict) or set(entry) != {"id", "edges"}:
             raise InvalidScenarioError(f"objects must be {{id, edges}} records, got {entry!r}")
         edges = _json_int(entry["edges"], "object edges")
-        if edges < 0:
-            raise InvalidScenarioError(f"object edges must be >= 0, got {edges}")
         objects.append(Object(_json_int(entry["id"], "object id"), edges))
 
     # a key the file leaves out takes its default from MachineModel or Scenario
@@ -147,10 +146,12 @@ def _parse_range(text: str) -> List[int]:
             start, stop, step = (int(x) for x in parts)
         else:
             raise ValueError
-        if step < 1 or start < 1 or stop < start or stop > MAX_PROCS:
+        if step < 1 or stop < start:
             raise ValueError
+        check_procs(start)
+        check_procs(stop)
         return list(range(start, stop + 1, step))
-    except ValueError:
+    except (ValueError, InvalidTaskError):
         pass
     raise InvalidTaskError(
         f"bad processor range {text!r}, expected START:STOP:STEP or one integer "
@@ -162,12 +163,11 @@ def _procs_arg(text: str) -> int:
     """argparse type for the --procs of schedule and simulate: an integer in 1..MAX_PROCS."""
     try:
         value = int(text)
-    except ValueError:
-        value = 0
-    if not 1 <= value <= MAX_PROCS:
+        check_procs(value)
+    except (ValueError, InvalidTaskError):
         raise argparse.ArgumentTypeError(
             f"expected an integer in 1..MAX_PROCS ({MAX_PROCS}), got {text!r}"
-        )
+        ) from None
     return value
 
 

@@ -55,10 +55,6 @@ class Object:
     id: int
     edges: int
 
-    def __post_init__(self):
-        if self.edges < 0:
-            raise InvalidTaskError(f"object {self.id}: edges must be >= 0, got {self.edges}")
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -140,11 +136,18 @@ class _PerTuple:
 
 
 class ObjectOrders(_PerTuple):
-    """Edge total and size orders of objects whose ids are the indices 0..N-1."""
+    """Edge total and size orders of objects whose ids are the indices 0..N-1.
+
+    Building it checks the objects: their ids, and that no edge count is
+    negative.  ``Object`` checks nothing itself.
+    """
 
     def __init__(self, objects: Sequence[Object]):
         if sorted(o.id for o in objects) != list(range(len(objects))):
             raise InvalidScenarioError("object ids must be the indices 0..N-1")
+        for o in objects:
+            if o.edges < 0:
+                raise InvalidScenarioError(f"object {o.id}: edges must be >= 0, got {o.edges}")
         super().__init__(objects)
 
     @cached_property
@@ -569,6 +572,13 @@ DEFAULT_CUTOFF = 20
 # P entries, and Part_Schedule may take about one step per processor
 MAX_PROCS = 2**20
 
+
+def check_procs(procs: int) -> None:
+    """Refuse a processor count outside 1..MAX_PROCS, with InvalidTaskError."""
+    if not 1 <= procs <= MAX_PROCS:
+        raise InvalidTaskError(f"procs must be in 1..MAX_PROCS ({MAX_PROCS}), got {procs}")
+
+
 # the most objects a generator builds, one ``Object`` each; a scenario file's
 # object count is bounded by its size instead
 MAX_OBJECTS = 2**20
@@ -587,7 +597,7 @@ class Scenario:
     def __post_init__(self):
         if not self.objects:
             raise InvalidScenarioError("a scenario needs at least one object")
-        # checks the ids, once per objects tuple
+        # checks the ids and edge counts, once per objects tuple
         orders = ObjectOrders.of(self.objects)
         if self.iterations < 1:
             raise InvalidScenarioError("iterations must be >= 1")

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .model import (
-    MAX_PROCS,
-    InvalidScenarioError,
     MachineModel,
     Object,
     ObjectOrders,
@@ -38,6 +36,7 @@ from .model import (
     Pieces,
     Schedule,
     ShapeError,
+    check_procs,
 )
 
 
@@ -75,13 +74,12 @@ def partition_external(objects: Sequence[Object], procs: int) -> PartitionMap:
     without a heap step, then heapifies the loaded keys once and goes on
     with ``heapreplace``.
 
-    The check that the ids are 0..N-1, the edge total and the size order
+    The checks of the ids and edge counts, the edge total and the size order
     (zero-edge objects left out) do not depend on P: they come from
     ``ObjectOrders``, computed once per objects tuple, so a sweep sorts
     its objects once.  A list of objects is checked and sorted per call.
     """
-    if not 1 <= procs <= MAX_PROCS:
-        raise InvalidScenarioError(f"procs must be in 1..MAX_PROCS ({MAX_PROCS}), got {procs}")
+    check_procs(procs)
     orders = ObjectOrders.of(objects)
     total = orders.total
     by_size = orders.by_size

@@ -8,44 +8,12 @@ pure Python.  The iterative scheduler carries its makespans as integer
 (numerator, denominator) pairs compared cross-multiplied, and orders W/P
 by integer keys; a ``Fraction`` is made once, for the returned c_max.
 
-Which task the iterative scheduler grows, and by how much, does not
-depend on P: P only decides where its loop stops.  So its steps are
-logged once per task tuple and cutoff, as (task, old P_i, d), with the
-sum of the P_i and the parallel task count after each step.  The log
-owns that state and picks each next step itself, and every P of a sweep
-walks it and reads its state there.  The P_i of the best schedule are
-replayed from the log's prefix, so no step copies the P_i.
-
-It needs only the makespan of each rebuilt schedule.  It skips the
-rebuild when the makespan is the longest task's duration: when the idle
-processors are at least as many as the sequential tasks (each then runs
-alone from time zero), or when Graham's list-scheduling bound proves it.
-The first case holds while all P_i sum to at most P, and that sum grows
-with every step, so when P >= n the walk skips those steps with one
-bisect.  Graham's bound peaks at the last task of each run of equal
-sequential workloads, so it is kept per run, built in O(runs) at a
-call's first test of it from a fact of the task tuple
-(``TaskOrders.last_ahead``).  Two bisects find run g, the first from
-which the bound caps every finish at the longest task's duration, and
-run h, the first the idle processors do not hold whole.  No finish
-before run h exceeds that duration, since each is one task's own, so
-g <= h settles the makespan with no walk.  Otherwise it computes the
-makespan from buckets of equal finish times: it keeps the parallel
-tasks as a multiset of (W_i, P_i) classes, one bucket per class,
-brought up to the current step only when a rebuild needs it, so a
-rebuild costs O(classes + runs of equal sequential workloads), not
-O(tasks).  That walk starts at run h and tests the bound once more, at
-run g: it stops there when no finish placed so far exceeds the longest
-task's duration.  ``ScheduleResult.routes`` counts the makespans each
-way settled.
-
-It places the tasks once, for the best processor counts found, in the
-LPT placement pass that ``lpt_schedule`` also runs: one pass builds the
-rows, which hold the processor groups, and gives the makespan.  It takes
-the parallel prefix and the sequential suffix as two lists and keeps
-each processor as one int key, ``finish * procs + p``.  A built schedule
-keeps integer clocks until its start and finish times are read; only
-then are they made exact ``Fraction``s (see ``Schedule``).
+``part_schedule`` logs its steps once per task tuple and cutoff
+(``_StepLog``), and every P walks that log.  It finds each makespan it
+needs by a shortcut or by a walk of buckets of equal finish times
+(``_lpt_makespan``), and places the tasks once, in the LPT placement
+pass that ``lpt_schedule`` also runs (``_lpt_place``).  Their docstrings
+say how.
 """
 
 from __future__ import annotations
@@ -70,6 +38,7 @@ from .model import (
     TaskOrders,
     TaskSpec,
     UndefinedBoundError,
+    check_procs,
 )
 
 ORACLE_MAX_TASKS = 12
@@ -130,8 +99,7 @@ def ideal_length(tasks: Sequence[TaskSpec], procs: int) -> Fraction:
 
     The sum is taken once per task tuple (``TaskOrders``).
     """
-    if procs < 1:
-        raise InvalidTaskError(f"procs must be >= 1, got {procs}")
+    check_procs(procs)
     return Fraction(TaskOrders.of(tasks).total, procs)
 
 
@@ -291,8 +259,7 @@ def _lpt_makespan(
 
 def _check_inputs(tasks: Sequence[TaskSpec], procs: int) -> TaskOrders:
     """The tasks' ``TaskOrders``, once P and the tasks are checked (per task tuple)."""
-    if not 1 <= procs <= MAX_PROCS:
-        raise InvalidTaskError(f"procs must be in 1..MAX_PROCS ({MAX_PROCS}), got {procs}")
+    check_procs(procs)
     orders = TaskOrders.of(tasks)
     if orders.problem is not None:
         raise InvalidTaskError(orders.problem)
@@ -355,12 +322,10 @@ class _StepLog:
     first step with d > 1, once one is logged: a walk that takes it is
     restricted.
 
-    Three arrays of 64-bit integers hold one entry per logged step s: the
-    sum of all P_i after s steps (``sums``), the parallel task count
-    (``ks``), and the first step after which the longest duration was what
-    it is after s steps (``best``).  A walk reads its state after s steps
-    from them.  Each fits: a sum is at most P + n, and P is at most
-    ``MAX_PROCS``.
+    Two arrays of 64-bit integers hold one entry per logged step s: the
+    sum of all P_i after s steps (``sums``) and the parallel task count
+    (``ks``).  A walk reads its state after s steps from them.  Each fits:
+    a sum is at most P + n, and P is at most ``MAX_PROCS``.
 
     ``parallel`` is the state before the last logged step: its parallel
     tasks in a heap of ``_entry`` tuples, longest first, each holding its
@@ -371,7 +336,7 @@ class _StepLog:
     """
 
     __slots__ = ("cutoff", "ids", "workloads", "order", "steps", "first_wide", "parallel",
-                 "sums", "ks", "best")
+                 "sums", "ks")
 
     def __init__(self, orders: TaskOrders, cutoff: Optional[int]):
         self.cutoff = cutoff
@@ -381,7 +346,7 @@ class _StepLog:
         self.first_wide: Optional[int] = None
         self.parallel: List[Tuple[int, int, int, int]] = []
         self.sums = array("q", [len(orders.order)])
-        self.ks, self.best = array("q", [0]), array("q", [0])
+        self.ks = array("q", [0])
 
     def grow(self) -> None:
         """Take the last logged step on the heap, and log the next one."""
@@ -406,8 +371,6 @@ class _StepLog:
         self.steps.append((i, q, e))
         self.sums.append(self.sums[-1] + d)
         self.ks.append(k)
-        # the longest duration never grows: it ties step s - 1's or falls below it
-        self.best.append(self.best[-1] if workloads[i] * p == w * q else s)
 
 
 def part_schedule(
@@ -468,8 +431,10 @@ def part_schedule(
     there stops the loop as not-longest, overdraw or worse; the budget
     runs out only at the prefix's end, when every task is parallel and
     their P_i sum to P.  So the walk starts at the prefix's last logged
-    step, with the log's first step of that step's makespan as the best,
-    and tests the cut at each step from there as before.
+    step, and tests the cut at each step from there as before.  The best
+    is the first logged step of that step's makespan.  The longest
+    duration never grows along the log, so the steps' heap keys never
+    fall, and a second bisect over them finds it.
     """
     if not tasks:
         raise InvalidTaskError("part_schedule needs a nonempty task list")
@@ -506,10 +471,13 @@ def part_schedule(
     if n <= procs:
         # the cut settles the makespans after 0..s steps: all P_i sum to at most P
         s = bisect_right(sums, procs) - 1
-        best_steps = log.best[s]
         routes[0] = s
         j, p, _ = steps[s]
         cur_top, cur_den = workloads[j], p
+        # the first step of this makespan: the longest duration never grows, so
+        # the steps' heap keys never fall
+        best_steps = bisect_left(steps, _entry(cur_top, 0, 0, p)[0], 0, s,
+                                 key=lambda step: _entry(workloads[step[0]], 0, 0, step[1])[0])
     else:
         s = best_steps = 0
         # 1/0 stands for an infinite makespan: the first one found is lower
@@ -582,9 +550,9 @@ def part_schedule(
     for i, p, d in steps[:best_steps]:
         pi[i] = p + d
     # the placement's makespan is cur_top / cur_den: the same LPT pass.  The
-    # grown tasks are the parallel ones, the prefix order[:best_k], and its
-    # sequential tasks order[best_k:], already longest first.
-    best_k = n - pi.count(1)
+    # grown tasks are the parallel ones, the prefix order[:best_k] with best_k
+    # logged, and its sequential tasks order[best_k:], already longest first.
+    best_k = ks[best_steps]
     schedule, (top, den) = _lpt_place(orders, pi, order[:best_k], order[best_k:], procs)
     return ScheduleResult(
         schedule=schedule,

@@ -47,8 +47,12 @@ def test_task_duration_zero_procs_invalid():
 
 
 def test_object_rejects_negative_edges():
-    with pytest.raises(ms.InvalidTaskError):
-        ms.Object(0, -3)
+    # an Object checks nothing; the objects tuple is checked where it is read
+    objects = (ms.Object(0, 2), ms.Object(1, -1))
+    with pytest.raises(ms.InvalidScenarioError, match="object 1: edges must be >= 0, got -1"):
+        ms.Scenario(name="neg", objects=objects)
+    with pytest.raises(ms.InvalidScenarioError, match="object 1: edges must be >= 0, got -1"):
+        ms.partition_external(objects, 2)
 
 
 def test_tasks_from_objects():

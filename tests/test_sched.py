@@ -3,7 +3,7 @@ import random
 import weakref
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -775,13 +775,44 @@ def test_property_step_log_facts(workloads, spares, cutoff):
         ms.part_schedule(tasks, min(96, max(1, len(tasks) + spare)), cutoff)
     log = TaskOrders.of(tasks).step_logs[cutoff]
     steps, n = log.steps, len(tasks)
-    longest = [Fraction(workloads[i], p) for i, p, _ in steps]
     for s in range(len(steps)):
         assert log.sums[s] == n + sum(d for _, _, d in steps[:s])
         assert log.ks[s] == sum(p == 1 for _, p, _ in steps[:s])
-        assert log.best[s] == longest.index(longest[s])
     wide = [s for s, (_, _, d) in enumerate(steps) if d > 1]
     assert log.first_wide == (wide[0] if wide else None)
+
+
+def reachable_counts(cutoff, top):
+    """The P_i from 2 to top that a task passes through as Part_Schedule grows it."""
+    counts, q = [], 1
+    while q < top:
+        q += 1 if cutoff is None or q < cutoff else reference_next_approx_square_increment(q)
+        counts.append(q)
+    return [q for q in counts if q <= top]
+
+
+# (cutoff, a, b): reachable P_i a != b, coprime, with a * b > 2**8
+NEAR_TIE_COUNTS = [(cutoff, a, b) for cutoff in (None, 1, 5, 20)
+                   for a in reachable_counts(cutoff, 40) for b in reachable_counts(cutoff, 40)
+                   if a != b and gcd(a, b) == 1 and a * b > 2**8]
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.sampled_from(NEAR_TIE_COUNTS), t=st.integers(0, 10**9))
+# 15/16 < 16/17 by 1/272: a key good to 2**-8 reads both as 240/256
+@example(counts=(None, 16, 17), t=0)
+@example(counts=(20, 25, 12), t=3)
+def test_property_part_schedule_near_ties_match_reference(counts, t):
+    # tasks 0 and 1 at P_i a and b: W_1/b - W_0/a = 1/(ab), less than 2**-8, so
+    # the higher id is the longer by less than any heap key good to 2**-8 tells.
+    # The walk passes through (a, b), and P ends it just after the next step,
+    # which must grow task 1
+    cutoff, a, b = counts
+    w1 = pow(a, -1, b) + t * b
+    w0 = (w1 * a - 1) // b
+    assert Fraction(w1, b) - Fraction(w0, a) == Fraction(1, a * b)
+    d = 1 if cutoff is None or b < cutoff else reference_next_approx_square_increment(b)
+    assert_matches_reference(make_tasks([w0, w1]), a + b + d, cutoff)
 
 
 RATIOS = st.tuples(st.integers(0, 2**70), st.integers(1, MAX_PROCS), st.integers(0, 3))

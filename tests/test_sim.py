@@ -174,15 +174,28 @@ def test_property_task_seconds_is_the_reference_price(workload, procs, t_work, g
     lambda p: ms.part_schedule([ms.TaskSpec(0, 4)], p, None),
     lambda p: ms.lpt_schedule([ms.TaskSpec(0, 4)], p),
     lambda p: ms.oracle_optimal([ms.TaskSpec(0, 4)], p),
+    lambda p: ms.ideal_length([ms.TaskSpec(0, 4)], p),
     lambda p: ms.partition_external([ms.Object(0, 4)], p),
     lambda p: run_strategy(ms.gen_bus(1), StrategyKind.NO_REDISTRIBUTION, p),
     lambda p: run_strategy(ms.gen_bus(1), StrategyKind.PROPOSED, p),
 ], ids=["part_schedule", "part_schedule unlimited", "lpt_schedule", "oracle_optimal",
-        "partition_external", "run_strategy no-redist", "run_strategy proposed"])
+        "ideal_length", "partition_external", "run_strategy no-redist", "run_strategy proposed"])
 def test_more_than_max_procs_refused(call):
     # each entry point refuses P before it builds anything of P entries
     with pytest.raises((ms.InvalidTaskError, ms.InvalidScenarioError), match="MAX_PROCS"):
         call(MAX_PROCS + 1)
+
+
+@pytest.mark.parametrize("procs", [0, MAX_PROCS + 1])
+@pytest.mark.parametrize("call", [
+    lambda p: ms.partition_external([ms.Object(0, 4)], p),
+    lambda p: run_strategy(ms.gen_bus(1), StrategyKind.NO_REDISTRIBUTION, p),
+    lambda p: run_strategy(ms.gen_bus(1), StrategyKind.PROPOSED, p),
+], ids=["partition_external", "run_strategy no-redist", "run_strategy proposed"])
+def test_procs_out_of_range_is_an_invalid_task(call, procs):
+    # one test of 1..MAX_PROCS, model.check_procs, raises one type everywhere
+    with pytest.raises(ms.InvalidTaskError, match="MAX_PROCS"):
+        call(procs)
 
 
 class TestExternalPhase:
