@@ -17,7 +17,14 @@ cell, into an ``_OwnerPlan``, and each pass replays it with its own
 durations.  The split objects join the processes they touch into
 independent groups, the connected components a disjoint-set forest
 finds, that never delay one another, so a pass replays each group on
-its own, with the same result as one schedule over all processes.
+its own, with the same result as one schedule over all processes.  Only
+a group that a task could delay needs a heap: one joined by two or more
+split tasks, or by one that a single-owner task on its processes
+outranks.  A group of one split task that outranks them all starts it
+at 0 and runs each process's tasks from its end, adding the same
+durations in the same order as a heap would.  ``partition_external``
+splits only objects above the per-process target, which outrank every
+whole one, so each of its one-split groups is of this kind.
 """
 
 from __future__ import annotations
@@ -121,23 +128,34 @@ class _OwnerPlan:
     finds them for both passes:
 
     - ``split``: (position, processes) of each object on several processes;
-    - ``queues``: each process some split object touches, with the
-      positions of its single-owner tasks;
-    - ``unshared``: every other process with tasks, with their positions.
+    - ``queues``: each process with single-owner tasks in a group that
+      needs a heap (below), with the positions of those tasks;
+    - ``unshared``: every other process with single-owner tasks, with
+      their positions.
 
     The single-owner tasks of one process share its ready time, so they
     start in (-W, position) order.  An unshared process runs them back to
-    back from 0: its free and busy times are the running sum of their
-    durations, added in that order.
+    back from its free time: 0, or the end of its group's one split task.
+    Its free and busy times are the running sum of their durations, added
+    in that order.
 
     The split objects join the processes they touch into independent
     groups (connected components): the walk links each split object's
     processes in a disjoint-set forest, and a group is one tree.  No
-    task spans two groups, so none delays another, and each group is
-    replayed on a heap of its own.  ``heaps`` holds each group's initial
-    heap: its split tasks and the first task of each of its queues.
-    ``lone`` holds (position, processes) of each group that is one split
-    task with no queue: it starts at 0 and needs no heap.
+    task spans two groups, so none delays another.
+
+    - ``lone``: (position, processes) of each group's split task where
+      it is the group's only one and its key (0, -W, position) is below
+      the key of each of its processes' first single-owner task.  It
+      pops first on a heap of its group, so it starts at 0 and ends at
+      0 + d on all its processes, and then each of them runs its own
+      tasks alone.  That is what ``replay`` does without a heap: the
+      task's end seeds each process's running sum, so the durations add
+      in the heap's order, bit for bit.
+    - ``heaps``: the initial heap of every other group: its split tasks
+      and the first task of each of its queues.  A group of two or more
+      split tasks, or one whose split task a single-owner task outranks,
+      may delay a task, so it is replayed on a heap of its own.
     """
 
     __slots__ = ("procs", "workloads", "split", "queues", "unshared", "heaps", "lone")
@@ -172,21 +190,41 @@ class _OwnerPlan:
             for p in g:
                 up[p if up[p] < 0 else root(p)] = r
         # each group's heap keys (ready, -W, position, processes), under its
-        # root and in the order of its first split task.  Heap keys are
+        # root, its split tasks first, in walk order.  Heap keys are
         # distinct, so no group is ever compared.
         groups = {}
         for i, g in split:
             groups.setdefault(root(g[0]), []).append((0, -workloads[i], i, g))
         self.queues = queues = {}
         self.unshared = unshared = []
+        outranked = False
         for p, q in enumerate(own):
             if not q:
                 continue
             if up[p] < 0:
                 unshared.append((p, q))
+                continue
+            group = groups[root(p)]
+            h = q[0]
+            # a group's one split task leads p's queue if its key is below the head's
+            if len(group) == 1 and group[0] < (0, -workloads[h], h):
+                unshared.append((p, q))
             else:
+                if len(group) == 1:
+                    outranked = True
                 queues[p] = q
-                groups[root(p)].append((0, -workloads[q[0]], q[0], p))
+                group.append((0, -workloads[h], h, p))
+        if outranked:
+            # a head outranked its group's one split task: the processes that
+            # task led before the loop met that head join the group's heap
+            led = unshared
+            self.unshared = unshared = []
+            for p, q in led:
+                if up[p] < 0 or len(groups[root(p)]) == 1:
+                    unshared.append((p, q))
+                else:
+                    queues[p] = q
+                    groups[root(p)].append((0, -workloads[q[0]], q[0], p))
         self.lone, self.heaps = [], []
         for group in groups.values():
             if len(group) == 1:
@@ -198,26 +236,27 @@ class _OwnerPlan:
     def replay(self, durations: Sequence):
         """(makespan, per-process busy time) with these per-position durations.
 
-        Works for float or integer durations.  Each group runs to the end
-        on its own heap, in which only its split tasks and the next queued
-        task of each of its processes wait; a started queued task pushes
-        its successor at the new free time.  Heap keys are lazy: a popped
-        key below its processes' ready time is pushed back with the
-        current one.  Groups share no process, so each process sees its
-        tasks start, and its free and busy times grow, exactly as in one
-        heap over all groups.
+        Works for float or integer durations.  The lone tasks run first,
+        from 0, and then each unshared process adds its durations to its
+        free time.  Each other group runs to the end on its own heap, in
+        which only its split tasks and the next queued task of each of its
+        processes wait; a started queued task pushes its successor at the
+        new free time.  Heap keys are lazy: a popped key below its
+        processes' ready time is pushed back with the current one.  Groups
+        share no process, so each process sees its tasks start, and its
+        free and busy times grow, exactly as in one heap over all groups.
         """
         free = [0] * self.procs
         busy = [0] * self.procs
-        for p, positions in self.unshared:
-            f = 0
-            for i in positions:
-                f += durations[i]
-            free[p] = busy[p] = f
         for i, g in self.lone:
             end = 0 + durations[i]  # as a start at 0 adds it: -0.0 becomes 0.0
             for p in g:
                 free[p] = busy[p] = end
+        for p, positions in self.unshared:
+            f = free[p]
+            for i in positions:
+                f += durations[i]
+            free[p] = busy[p] = f
         workloads, queues = self.workloads, self.queues
         nxt = dict.fromkeys(queues, 1)
         pop, push = heapq.heappop, heapq.heappush

@@ -110,6 +110,29 @@ MUTANTS = (
         ("tests/test_sched.py::test_property_shared_step_log_matches_reference",
          "tests/test_cli.py::test_golden_sweep_digests[bus-20:1000:60]"),
     ),
+    Mutant(
+        "one split task leads its group's queues without the rank test",
+        "moldsched/sim.py",
+        "if len(group) == 1 and group[0] < (0, -workloads[h], h):",
+        "if len(group) == 1:",
+        ("tests/test_sim.py::TestOwnerGroups::test_queue_head_outranking_the_split_task",
+         "tests/test_sim.py::test_property_simultaneity_schedule_matches_reference"),
+    ),
+    Mutant(
+        "a group of two split tasks leads its queues as a chain",
+        "moldsched/sim.py",
+        "if len(group) == 1 and group[0] < (0, -workloads[h], h):",
+        "if group[0] < (0, -workloads[h], h):",
+        ("tests/test_sim.py::TestSimultaneitySchedule::test_groups_interleaving_in_the_one_heap_order",
+         "tests/test_sim.py::test_property_simultaneity_schedule_matches_reference"),
+    ),
+    Mutant(
+        "led processes stay unshared when a later head outranks their split task",
+        "moldsched/sim.py",
+        "        if outranked:\n",
+        "        if False:\n",
+        ("tests/test_sim.py::TestOwnerGroups::test_queue_head_outranking_the_split_task",),
+    ),
 )
 
 

@@ -182,7 +182,7 @@ def test_property_task_seconds_is_the_reference_price(workload, procs, t_work, g
         "ideal_length", "partition_external", "run_strategy no-redist", "run_strategy proposed"])
 def test_more_than_max_procs_refused(call):
     # each entry point refuses P before it builds anything of P entries
-    with pytest.raises((ms.InvalidTaskError, ms.InvalidScenarioError), match="MAX_PROCS"):
+    with pytest.raises(ms.InvalidTaskError, match="MAX_PROCS"):
         call(MAX_PROCS + 1)
 
 
@@ -307,18 +307,43 @@ class TestOwnerGroups:
 
     def test_split_queued_and_unshared_tasks(self):
         # p0 holds whole objects only; the object split over p1 and p2 makes
-        # both shared, so p1's whole object waits in its queue; p3 holds nothing
+        # both shared, and p1 also holds a whole object; p3 holds nothing
         objs = (ms.Object(0, 4), ms.Object(1, 6), ms.Object(2, 5), ms.Object(3, 3),
                 ms.Object(4, 0), ms.Object(5, 4))
         pieces = (((0, 4),), ((1, 3), (2, 3)), ((1, 5),), ((0, 3),), (), ((0, 4),))
         plan = _OwnerPlan(objs, sparse_partition(4, pieces))
         assert plan.workloads == [16, 36, 25, 9, 16]
         assert plan.split == [(1, [1, 2])]
-        assert plan.queues == {1: [2]}
-        assert plan.unshared == [(0, [0, 4, 3])]
-        # p1 and p2 form one group; its heap starts the split task and p1's queue
-        assert [sorted(h) for h in plan.heaps] == [[(0, -36, 1, [1, 2]), (0, -25, 2, 1)]]
+        # p1 and p2 form one group.  Its one split task (W 36) outranks p1's
+        # whole object (W 25), so it starts at 0 with no heap, and p1 runs
+        # its whole object from the split task's end, as p0 runs its own from 0
+        assert (plan.heaps, plan.queues) == ([], {})
+        assert plan.lone == [(1, [1, 2])]
+        assert plan.unshared == [(0, [0, 4, 3]), (1, [2])]
+        assert plan.replay([1, 10, 100, 1000, 10000]) == (11001, [11001, 110, 10, 0])
+
+    def test_queue_head_outranking_the_split_task(self):
+        # the one split task, position 1 on {0, 1} (W 25), outranks p0's
+        # queue (W 4, then 1) but not p1's (W 81, then 64): the group needs
+        # a heap, and p0's queue joins it though the process loop met p0 first
+        groups = [[2], [0, 1], [0], [1], [1], [0]]
+        edges = [1, 5, 2, 9, 8, 1]
+        plan = plan_of_groups(groups, edges, 3)
         assert plan.lone == []
+        assert plan.queues == {0: [2, 5], 1: [3, 4]}
+        assert plan.unshared == [(2, [0])]
+        assert [sorted(h) for h in plan.heaps] == [
+            [(0, -81, 3, 1), (0, -25, 1, [0, 1]), (0, -4, 2, 0)]]
+        # p1's queue delays the split task to 2, so each process adds its
+        # 1.0s before 1e16; started at 0, the split task would swallow them
+        first = [1.0, 1e16, 1.0, 1.0, 1.0, 1.0]
+        assert plan.replay(first) == (1e16 + 2, [1e16 + 2, 1e16 + 2, 1.0])
+        # p1's queue takes no time, so the split task starts at 0 and p0
+        # adds its queue after 1e16, which swallows it
+        second = [1.0, 1e16, 1.0, 0.0, 0.0, 1.0]
+        assert plan.replay(second) == (1e16, [1e16, 1e16, 1.0])
+        for durations in (first, second):
+            assert_schedule_matches_reference(groups, edges, durations, 3)
 
     @pytest.mark.numpy
     def test_follow_the_order_of_the_objects(self):
@@ -492,7 +517,9 @@ class TestSimultaneitySchedule:
         durations = [1.0, 1e16, 4.0, 1.0, 2.0]
         assert_schedule_matches_reference(groups, edges, durations, 3)
         plan = plan_of_groups(groups, edges, 3)
-        assert plan.unshared == [(0, [1, 0, 3])]
+        # the split task (W 25) outranks p1's head (W 9): p1 adds its queue
+        # from the split task's end, as an unshared process does from 0
+        assert plan.unshared == [(0, [1, 0, 3]), (1, [4])]
         makespan, busy = plan.replay(durations)
         assert makespan == busy[0] == 1e16
         assert busy[1:] == [6.0, 4.0]
@@ -507,6 +534,18 @@ class TestSimultaneitySchedule:
             assert_owner_schedules_match(scenario.objects, part, scenario.machine)
             units = no_redist_units(scenario.objects, part)
             assert units == reference_no_redist_work_units(scenario.objects, part)
+            # partition_external splits only objects above the per-process
+            # target, so each split task outranks its processes' heads
+            plan = _OwnerPlan(scenario.objects, part)
+            assert (plan.heaps, len(plan.lone)) == ([], 358 if split else 0)
+
+    def test_srr_p_1000_has_one_heap(self, srr):
+        # one group joined by several split tasks; every other split task
+        # is alone in its group
+        plan = _OwnerPlan(srr.objects, ms.partition_external(srr.objects, 1000))
+        (group,) = plan.heaps
+        assert sum(type(k[3]) is list for k in group) >= 2
+        assert len(plan.lone) + sum(type(k[3]) is list for k in group) == len(plan.split)
 
     @pytest.mark.numpy
     def test_past_p_1000_match_references(self, srr, interposer, random300):
@@ -555,18 +594,20 @@ class TestSimultaneitySchedule:
         assert [math.copysign(1, t) for t in (makespan, *busy)] == [1] * 7
 
 
-OWNER_SCHEDULE_KINDS = ("independent", "chained", "lone", "queued")
+OWNER_SCHEDULE_KINDS = ("independent", "chained", "lone", "led", "outranked")
 
 
 @st.composite
 def owner_schedules(draw):
     """Random mixed single-owner and multi-process groups, many equal
-    workloads, with the owner groups of one of four kinds:
+    workloads, with the owner groups of one of five kinds:
 
     - independent: two or more process groups that no task joins;
     - chained: a group joined through two or more split tasks;
     - lone: a split task on processes that hold no other task;
-    - queued: a split task on a process that also holds single-owner tasks.
+    - led: a split task on processes that also hold single-owner tasks,
+      each of which it outranks;
+    - outranked: the same, but one of the single-owner tasks outranks it.
 
     The kind is built on processes of its own, beside random tasks on the
     others, and the rows are shuffled, so positions tie in any order.
@@ -595,14 +636,26 @@ def owner_schedules(draw):
         procs += size
     else:
         size = draw(st.integers(2, 4))
-        groups.append(list(range(procs, procs + size)))
-        if kind == "queued":
-            groups += draw(st.lists(st.integers(procs, procs + size - 1).map(lambda p: [p]),
+        block = list(range(procs, procs + size))
+        groups.append(block)
+        if kind != "lone":
+            groups += draw(st.lists(st.sampled_from(block).map(lambda p: [p]),
                                     min_size=1, max_size=4))
         procs += size
     groups = draw(st.permutations(groups))
     n = len(groups)
     edges = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+    if kind in ("led", "outranked"):
+        # rank the block's split task s against its single-owner tasks:
+        # equal edges go to the lower position
+        s = groups.index(block)
+        own = [k for k, g in enumerate(groups) if len(g) == 1 and g[0] in block]
+        if kind == "led":
+            top = max(edges[k] for k in own)
+            edges[s] = top + any(edges[k] == top and k < s for k in own)
+        else:
+            k = draw(st.sampled_from(own))
+            edges[k] = edges[s] + (k > s)
     durations = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
     return kind, groups, edges, durations, procs
 
@@ -614,7 +667,11 @@ def has_owner_schedule_kind(plan, kind):
         return any(sum(type(k[3]) is list for k in h) >= 2 for h in plan.heaps)
     if kind == "lone":
         return bool(plan.lone)
-    return bool(plan.queues)
+    if kind == "led":
+        # a lone split task with single-owner tasks on its processes
+        led = {p for _, g in plan.lone for p in g}
+        return any(p in led for p, _ in plan.unshared)
+    return any(sum(type(k[3]) is list for k in h) == 1 for h in plan.heaps)
 
 
 @settings(max_examples=300, deadline=None)
@@ -628,6 +685,12 @@ def has_owner_schedule_kind(plan, kind):
 # its union links nothing; process 3 is unshared
 @example(case=("chained", [[0, 1], [0, 2], [1, 2], [1], [2], [3]],
                [5, 4, 3, 2, 2, 7], [2, 3, 1, 4, 0, 5], 4))
+# equal workloads: the split task at the lower position leads, at the
+# higher one it is outranked
+@example(case=("led", [[0, 1], [0]], [1, 1], [3, 2], 2))
+@example(case=("outranked", [[0], [0, 1]], [1, 1], [3, 2], 2))
+# p0's head is led, p1's outranks the split task: p0 joins the heap too
+@example(case=("outranked", [[0, 1], [0], [1]], [3, 1, 4], [5, 2, 0], 2))
 def test_property_simultaneity_schedule_matches_reference(case):
     kind, groups, edges, durations, procs = case
     assert has_owner_schedule_kind(plan_of_groups(groups, edges, procs), kind)
